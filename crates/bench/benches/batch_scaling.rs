@@ -17,9 +17,10 @@
 use dynslice::{slice_batch, BatchConfig, OptConfig};
 use dynslice_bench::*;
 
-/// Resident-block budget for the paged backend rows.
+/// Resident budget for the paged backend rows, in 4 KiB label pages
+/// (128 pages = 512 KiB, the `dynslice` default).
 fn resident_blocks() -> usize {
-    std::env::var("DYNSLICE_RESIDENT").ok().and_then(|s| s.parse().ok()).unwrap_or(8)
+    std::env::var("DYNSLICE_RESIDENT").ok().and_then(|s| s.parse().ok()).unwrap_or(128)
 }
 
 fn main() {
@@ -99,7 +100,7 @@ fn main() {
 
     println!();
     println!(
-        "-- paged backend (resident budget {} blocks): q/s and miss rate per worker count",
+        "-- paged backend (resident budget {} pages): q/s and miss rate per worker count",
         resident_blocks()
     );
     println!(

@@ -1,26 +1,28 @@
 //! Extension (paper §4.2, "Combining idea behind LP with OPT"): the
-//! compacted graph with its label blocks spilled to disk and paged in on
+//! compacted graph with its label pages spilled to disk and paged in on
 //! demand. Reports resident memory vs the in-memory OPT graph, the
 //! slicing-time cost of paging, and — now that the paged backend is
-//! thread-safe — parallel batch throughput and block-cache miss rates at
+//! thread-safe — parallel batch throughput and page-cache miss rates at
 //! 1/2/4/8 workers.
 //!
-//! Resident memory is *actual occupancy* (graph + index + blocks resident
-//! at measurement time), not the cache's worst-case capacity; the second
-//! table's hit rates are per-run deltas of the graph's atomic counters.
+//! Resident memory is *actual occupancy* (graph, index, the pages resident
+//! and the shortcut closures materialized at measurement time), not the
+//! cache's worst-case capacity; the second table's hit rates are per-run
+//! deltas of the graph's atomic counters.
 
 use dynslice::{slice_batch, BatchConfig, OptConfig, Slicer};
 use dynslice_bench::*;
 
-/// Resident-block budget for the paged runs.
+/// Resident budget for the paged runs, in 4 KiB label pages (128 pages
+/// = 512 KiB, the `dynslice` default).
 fn resident_blocks() -> usize {
-    std::env::var("DYNSLICE_RESIDENT").ok().and_then(|s| s.parse().ok()).unwrap_or(8)
+    std::env::var("DYNSLICE_RESIDENT").ok().and_then(|s| s.parse().ok()).unwrap_or(128)
 }
 
 fn main() {
-    header("Hybrid OPT+LP", "demand-paged label blocks (paper §4.2 proposal)");
+    header("Hybrid OPT+LP", "demand-paged label pages (paper §4.2 proposal)");
     let resident = resident_blocks();
-    println!("   (resident budget {resident} blocks; DYNSLICE_RESIDENT to change)");
+    println!("   (resident budget {resident} 4 KiB pages; DYNSLICE_RESIDENT to change)");
     println!(
         "{:<12} {:>12} {:>14} {:>12} {:>14} {:>12} {:>8} {:>7}",
         "program", "OPT (KB)", "resident (KB)", "disk (KB)", "OPT slice", "paged", "misses", "hit%"

@@ -36,7 +36,8 @@
 //! `slice` and `serve` share one backend-construction path
 //! ([`Session::build_slicer`]) behind the [`Slicer`] trait, so every
 //! algorithm — including `--paged`, the §4.2 OPT+LP hybrid with at most
-//! `--resident-blocks` label blocks resident — is reachable from both.
+//! `--resident-blocks` 4 KiB label pages resident (default 128 = 512 KiB)
+//! — is reachable from both.
 //!
 //! `snapshot` persists the compacted graph (with the source, input, and
 //! build config) to a checksummed `.dsnap` file; `slice`/`slice-batch`
@@ -262,7 +263,7 @@ fn parse_args() -> Result<Args, String> {
         repeat: 1,
         cache: true,
         paged: false,
-        resident_blocks: 8,
+        resident_blocks: 128,
         build_workers: 1,
         loaders: 1,
         socket: None,
@@ -322,8 +323,11 @@ fn parse_args() -> Result<Args, String> {
             "--paged" => out.paged = true,
             "--resident-blocks" => {
                 let v = args.next().ok_or("--resident-blocks needs a count")?;
-                out.resident_blocks =
-                    v.parse().map_err(|_| format!("bad block count `{v}`"))?;
+                out.resident_blocks = match v.parse() {
+                    Ok(0) => return Err("--resident-blocks must be at least 1 page".into()),
+                    Ok(n) => n,
+                    Err(_) => return Err(format!("bad block count `{v}`")),
+                };
             }
             "--build-workers" => {
                 let v = args.next().ok_or("--build-workers needs a count")?;
@@ -537,7 +541,7 @@ fn print_backend_trailer(slicer: &dynslice::AnySlicer<'_>, a: &Args) {
     if let dynslice::AnySlicer::Paged(p) = slicer {
         let st = p.stats();
         eprintln!(
-            "[paged: {} hits, {} misses ({:.1}% hit rate), {} KB read, {} resident blocks]",
+            "[paged: {} hits, {} misses ({:.1}% hit rate), {} KB read, {} resident pages]",
             st.hits,
             st.misses,
             st.hit_rate() * 100.0,
@@ -620,7 +624,7 @@ fn run_slice_batch(
             st.bytes_read / 1024,
         );
         println!(
-            "  memory: {:.1} KB resident ({} block budget), {:.1} KB spilled",
+            "  memory: {:.1} KB resident ({} page budget), {:.1} KB spilled",
             paged.resident_bytes() as f64 / 1024.0,
             a.resident_blocks,
             paged.spilled_bytes() as f64 / 1024.0,

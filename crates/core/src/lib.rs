@@ -139,8 +139,8 @@ impl Session {
     }
 
     /// Builds the paged OPT+LP hybrid (paper §4.2): the compacted graph
-    /// with its label blocks spilled to `path`, keeping `resident_blocks`
-    /// blocks cached during slicing. The spill file is removed when the
+    /// with its label pages spilled to `path`, keeping `resident_blocks`
+    /// 4 KiB pages cached during slicing. The spill file is removed when the
     /// returned graph is dropped (see [`PagedGraph::keep_spill_file`]).
     ///
     /// # Errors
@@ -207,7 +207,7 @@ impl Session {
             Algo::Paged => {
                 std::fs::create_dir_all(&config.scratch_dir)?;
                 let path = scratch_path(&config.scratch_dir, "spill", "pg");
-                AnySlicer::Paged(reg.time_phase(phases::RECORD_PREPROCESS, || {
+                let mut paged = reg.time_phase(phases::RECORD_PREPROCESS, || {
                     let graph = if config.build_workers > 1 {
                         dynslice_graph::build_compact_parallel(
                             &self.program,
@@ -221,7 +221,9 @@ impl Session {
                         build_compact(&self.program, &self.analysis, &trace.events, &config.opt)
                     };
                     PagedGraph::spill(graph, path, config.resident_blocks)
-                })?)
+                })?;
+                paged.shortcuts = config.shortcuts;
+                AnySlicer::Paged(paged)
             }
         })
     }
@@ -277,11 +279,11 @@ impl std::str::FromStr for Algo {
 pub struct SlicerConfig {
     /// OPT graph-build configuration (also the paged hybrid's base graph).
     pub opt: OptConfig,
-    /// Whether OPT queries traverse shortcut edges.
+    /// Whether OPT and paged queries traverse shortcut edges.
     pub shortcuts: bool,
     /// Directory for LP record streams and paged spill files.
     pub scratch_dir: PathBuf,
-    /// Resident block budget for the paged hybrid.
+    /// Resident budget for the paged hybrid, in 4 KiB label pages.
     pub resident_blocks: usize,
     /// LP pass-budget override ([`dynslice_slicing::DEFAULT_MAX_PASSES`]
     /// when `None`).
@@ -298,7 +300,7 @@ impl Default for SlicerConfig {
             opt: OptConfig::default(),
             shortcuts: true,
             scratch_dir: std::env::temp_dir().join("dynslice-scratch"),
-            resident_blocks: 8,
+            resident_blocks: 128,
             lp_max_passes: None,
             build_workers: 1,
         }
@@ -433,9 +435,11 @@ pub fn graph_slicer(
         Algo::Paged => {
             std::fs::create_dir_all(&config.scratch_dir)?;
             let path = scratch_path(&config.scratch_dir, "spill", "pg");
-            AnySlicer::Paged(reg.time_phase(phases::RECORD_PREPROCESS, || {
+            let mut paged = reg.time_phase(phases::RECORD_PREPROCESS, || {
                 PagedGraph::spill(graph, path, config.resident_blocks)
-            })?)
+            })?;
+            paged.shortcuts = config.shortcuts;
+            AnySlicer::Paged(paged)
         }
         other => {
             return Err(io::Error::new(

@@ -1122,12 +1122,15 @@ mod tests {
         SessionManager::new(algo, config, max, budget, 16)
     }
 
-    /// Paged-backend manager with a tight block cache, so slicing pages
-    /// blocks in (and the session's live weight grows past its cold one).
+    /// Paged-backend manager whose page cache starts empty, so slicing
+    /// pages labels in (and the session's live weight grows past its
+    /// cold one). Its 8 pages hold all of `PAGED_PROGRAM`'s 5: nothing is
+    /// evicted, so a slice leaves the same pages resident whatever order
+    /// the walk touched them in.
     fn paged_manager(max: usize, budget: Option<u64>, tag: &str) -> SessionManager {
         let config = SlicerConfig {
             scratch_dir: scratch(tag).join("scratch"),
-            resident_blocks: 2,
+            resident_blocks: 8,
             ..SlicerConfig::default()
         };
         SessionManager::new(Algo::Paged, config, max, budget, 16)

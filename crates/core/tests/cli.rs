@@ -226,3 +226,20 @@ fn failing_runs_exit_nonzero() {
     let out = bin().args(["run", broken.to_str().unwrap()]).output().unwrap();
     assert!(!out.status.success());
 }
+
+/// A zero page budget is a usage error (exit 2) on every paged entry
+/// point, not a budget of one page.
+#[test]
+fn zero_resident_budget_is_a_usage_error() {
+    let program = write_program("zero-budget.minic", PROGRAM);
+    let prog = program.to_str().unwrap();
+    for args in [
+        &["slice", prog, "--output", "0", "--algo", "paged", "--resident-blocks", "0"][..],
+        &["slice-batch", prog, "--paged", "--resident-blocks", "0"][..],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--resident-blocks"), "{args:?}: {stderr}");
+    }
+}

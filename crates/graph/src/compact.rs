@@ -11,6 +11,7 @@
 //! stored once.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -49,6 +50,31 @@ pub struct CompactGraph {
     shortcuts: ShortcutTable,
 }
 
+/// Where a slicing traversal finds dynamic labels: channel `chan`'s
+/// timestamp pairs, sorted by use timestamp. The resident channels never
+/// fail; the paged hybrid's page cache fails with an I/O error.
+pub(crate) trait LabelSearch {
+    /// Why a lookup can fail.
+    type Error;
+
+    /// The definition timestamp paired with use timestamp `tu` on channel
+    /// `chan`, if the channel holds one.
+    fn search(&mut self, chan: u32, tu: u64) -> Result<Option<u64>, Self::Error>;
+}
+
+/// OPT's labels: the channels held in memory.
+struct Resident<'g>(&'g [Vec<(u64, u64)>]);
+
+impl LabelSearch for Resident<'_> {
+    type Error = Infallible;
+
+    #[inline]
+    fn search(&mut self, chan: u32, tu: u64) -> Result<Option<u64>, Infallible> {
+        let ch = &self.0[chan as usize];
+        Ok(ch.binary_search_by_key(&tu, |&(_, u)| u).ok().map(|i| ch[i].0))
+    }
+}
+
 /// Sharded, lock-free-ish shortcut memo: one [`OnceLock`] slot per
 /// occurrence. Readers never block; two threads racing to materialize the
 /// same occurrence both compute the (identical, deterministic) closure and
@@ -60,13 +86,17 @@ struct ShortcutTable {
     slots: Vec<OnceLock<Arc<Shortcut>>>,
     /// Number of closures actually materialized (monotone; observability).
     materialized: AtomicU64,
+    /// Skip-list statements of the materialized closures, as
+    /// [`GraphSize::shortcut_stmts`] counts them (monotone): what the
+    /// memo occupies so far, without walking it.
+    materialized_stmts: AtomicU64,
 }
 
 impl ShortcutTable {
     fn new(num_occs: usize) -> Self {
         let mut slots = Vec::new();
         slots.resize_with(num_occs, OnceLock::new);
-        Self { slots, materialized: AtomicU64::new(0) }
+        Self { slots, materialized: AtomicU64::new(0), materialized_stmts: AtomicU64::new(0) }
     }
 }
 
@@ -98,6 +128,18 @@ struct Shortcut {
     stmts: Vec<StmtId>,
     /// Points where traversal needs dynamic labels or a timestamp change.
     frontier: Vec<Frontier>,
+}
+
+impl Shortcut {
+    /// Statements this closure lists as a shortcut edge under the size
+    /// model: a closure of the origin alone is no shortcut.
+    fn skip_stmts(&self) -> u64 {
+        if self.stmts.len() > 1 {
+            self.stmts.len() as u64
+        } else {
+            0
+        }
+    }
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -232,38 +274,45 @@ impl CompactGraph {
     /// Resolves use `(occ, k)` of the instance at `ts` to its defining
     /// instance, if any. Searches dynamic labels first, then applies the
     /// static inference; use-use edges chain without contributing.
-    pub fn resolve_use(&self, occ: u32, k: u8, ts: u64) -> Option<(u32, u64)> {
-        if let Some(edges) = self.data_dyn.get(&(occ, k)) {
-            for &(target, chan) in edges {
-                let ch = &self.channels[chan as usize];
-                if let Ok(i) = ch.binary_search_by_key(&ts, |&(_, tu)| tu) {
-                    return (target != NONE_TARGET).then(|| (target, ch[i].0));
-                }
+    fn resolve_use<L: LabelSearch>(
+        &self,
+        labels: &mut L,
+        occ: u32,
+        k: u8,
+        ts: u64,
+    ) -> Result<Option<(u32, u64)>, L::Error> {
+        for &(target, chan) in self.dyn_edges(occ, k) {
+            if let Some(td) = labels.search(chan, ts)? {
+                return Ok((target != NONE_TARGET).then_some((target, td)));
             }
         }
-        match self.nodes.use_res[occ as usize][k as usize] {
+        Ok(match self.nodes.use_res[occ as usize][k as usize] {
             UseRes::StaticDu { target, .. } => Some((target, ts)),
-            UseRes::StaticUu { target, use_idx, .. } => self.resolve_use(target, use_idx, ts),
+            UseRes::StaticUu { target, use_idx, .. } => {
+                return self.resolve_use(labels, target, use_idx, ts)
+            }
             UseRes::Dynamic | UseRes::NoDep => None,
-        }
+        })
     }
 
     /// Resolves the control dependence of the block containing `occ` at
     /// instance `ts`.
-    pub fn resolve_cd(&self, occ: u32, ts: u64) -> Option<(u32, u64)> {
+    fn resolve_cd<L: LabelSearch>(
+        &self,
+        labels: &mut L,
+        occ: u32,
+        ts: u64,
+    ) -> Result<Option<(u32, u64)>, L::Error> {
         let key = self.nodes.occ_block_key[occ as usize];
-        if let Some(edges) = self.cd_dyn.get(&key) {
-            for &(target, chan) in edges {
-                let ch = &self.channels[chan as usize];
-                if let Ok(i) = ch.binary_search_by_key(&ts, |&(_, tu)| tu) {
-                    return (target != NONE_TARGET).then(|| (target, ch[i].0));
-                }
+        for &(target, chan) in self.cd_edges(key) {
+            if let Some(tp) = labels.search(chan, ts)? {
+                return Ok((target != NONE_TARGET).then_some((target, tp)));
             }
         }
-        match self.nodes.cd_res[occ as usize] {
+        Ok(match self.nodes.cd_res[occ as usize] {
             CdRes::Static { target, delta, .. } if ts >= delta => Some((target, ts - delta)),
             _ => None,
-        }
+        })
     }
 
     /// Computes the backward dynamic slice from instance `(occ, ts)`.
@@ -283,15 +332,39 @@ impl CompactGraph {
         use_shortcuts: bool,
     ) -> (BTreeSet<StmtId>, TraversalStats) {
         let mut stats = TraversalStats::default();
-        let slice = if use_shortcuts {
-            self.slice_shortcut(occ, ts, &mut stats)
-        } else {
-            self.slice_plain(occ, ts, &mut stats)
-        };
-        (slice, stats)
+        let mut labels = Resident(&self.channels);
+        match self.slice_in(&mut labels, occ, ts, use_shortcuts, &mut stats) {
+            Ok(slice) => (slice, stats),
+            Err(never) => match never {},
+        }
     }
 
-    fn slice_plain(&self, occ: u32, ts: u64, stats: &mut TraversalStats) -> BTreeSet<StmtId> {
+    /// The one slicing traversal, over labels found through `labels`: the
+    /// resident channels for OPT, the page cache for
+    /// [`crate::paged::PagedGraph`]. Only where the labels come from
+    /// differs; the first label-lookup error aborts the walk.
+    pub(crate) fn slice_in<L: LabelSearch>(
+        &self,
+        labels: &mut L,
+        occ: u32,
+        ts: u64,
+        use_shortcuts: bool,
+        stats: &mut TraversalStats,
+    ) -> Result<BTreeSet<StmtId>, L::Error> {
+        if use_shortcuts {
+            self.slice_shortcut(labels, occ, ts, stats)
+        } else {
+            self.slice_plain(labels, occ, ts, stats)
+        }
+    }
+
+    fn slice_plain<L: LabelSearch>(
+        &self,
+        labels: &mut L,
+        occ: u32,
+        ts: u64,
+        stats: &mut TraversalStats,
+    ) -> Result<BTreeSet<StmtId>, L::Error> {
         let mut slice = BTreeSet::new();
         let mut visited = HashSet::new();
         let mut work = vec![(occ, ts)];
@@ -303,20 +376,26 @@ impl CompactGraph {
             stats.instances_visited += 1;
             let nuses = self.nodes.use_res[occ as usize].len();
             for k in 0..nuses as u8 {
-                if let Some((docc, td)) = self.resolve_use(occ, k, ts) {
+                if let Some((docc, td)) = self.resolve_use(labels, occ, k, ts)? {
                     slice.insert(self.stmt_of(docc));
                     work.push((docc, td));
                 }
             }
-            if let Some((pocc, tp)) = self.resolve_cd(occ, ts) {
+            if let Some((pocc, tp)) = self.resolve_cd(labels, occ, ts)? {
                 slice.insert(self.stmt_of(pocc));
                 work.push((pocc, tp));
             }
         }
-        slice
+        Ok(slice)
     }
 
-    fn slice_shortcut(&self, occ: u32, ts: u64, stats: &mut TraversalStats) -> BTreeSet<StmtId> {
+    fn slice_shortcut<L: LabelSearch>(
+        &self,
+        labels: &mut L,
+        occ: u32,
+        ts: u64,
+        stats: &mut TraversalStats,
+    ) -> Result<BTreeSet<StmtId>, L::Error> {
         let mut slice = BTreeSet::new();
         let mut visited = HashSet::new();
         let mut work = vec![(occ, ts)];
@@ -330,13 +409,13 @@ impl CompactGraph {
             for f in &sc.frontier {
                 match *f {
                     Frontier::Use(o, k) => {
-                        if let Some((docc, td)) = self.resolve_use(o, k, ts) {
+                        if let Some((docc, td)) = self.resolve_use(labels, o, k, ts)? {
                             slice.insert(self.stmt_of(docc));
                             work.push((docc, td));
                         }
                     }
                     Frontier::Cd(o) => {
-                        if let Some((pocc, tp)) = self.resolve_cd(o, ts) {
+                        if let Some((pocc, tp)) = self.resolve_cd(labels, o, ts)? {
                             slice.insert(self.stmt_of(pocc));
                             work.push((pocc, tp));
                         }
@@ -350,7 +429,7 @@ impl CompactGraph {
                 }
             }
         }
-        slice
+        Ok(slice)
     }
 
     /// The shortcut closure of `occ` (computed lazily, memoized in the
@@ -379,6 +458,7 @@ impl CompactGraph {
         // race is benign — use whichever value landed.
         if slot.set(Arc::clone(&sc)).is_ok() {
             self.shortcuts.materialized.fetch_add(1, Ordering::Relaxed);
+            self.shortcuts.materialized_stmts.fetch_add(sc.skip_stmts(), Ordering::Relaxed);
             stats.shortcuts_materialized += 1;
         } else {
             stats.shortcut_hits += 1;
@@ -390,6 +470,17 @@ impl CompactGraph {
     /// threads slicing this graph).
     pub fn shortcuts_materialized(&self) -> u64 {
         self.shortcuts.materialized.load(Ordering::Relaxed)
+    }
+
+    /// Bytes, under the size model, of the shortcut closures materialized
+    /// so far — a running count, so measuring never materializes anything
+    /// (unlike [`Self::size`] with shortcuts, which walks every occurrence).
+    pub fn materialized_shortcut_bytes(&self) -> u64 {
+        GraphSize {
+            shortcut_stmts: self.shortcuts.materialized_stmts.load(Ordering::Relaxed),
+            ..GraphSize::default()
+        }
+        .bytes()
     }
 
     /// Expands occurrence `occ` into `stmts`/`frontier`: its statement, all
@@ -494,10 +585,7 @@ impl CompactGraph {
         s.pairs = self.channels.iter().map(|c| c.len() as u64).sum();
         if with_shortcuts {
             for occ in 0..self.nodes.num_occs() as u32 {
-                let sc = self.shortcut(occ);
-                if sc.stmts.len() > 1 {
-                    s.shortcut_stmts += sc.stmts.len() as u64;
-                }
+                s.shortcut_stmts += self.shortcut(occ).skip_stmts();
             }
         }
         s

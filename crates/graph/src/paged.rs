@@ -1,14 +1,23 @@
 //! The paper's proposed OPT+LP hybrid (§4.2, "Combining idea behind LP
 //! with OPT"): keep the compacted graph's *static* component and edge
 //! structure in memory, but spill the dynamic timestamp-pair lists to disk
-//! in blocks, loading blocks on demand during slicing and discarding old
-//! ones — scaling OPT to runs whose label lists outgrow memory.
+//! in 4 KiB pages, loading pages on demand during slicing and discarding
+//! old ones — scaling OPT to runs whose label lists outgrow memory.
 //!
-//! The in-memory cost becomes `static component + edge headers + block
-//! index + resident blocks`; slicing pays an I/O penalty only on block
-//! misses. Because channels are sorted by use-timestamp, each channel is
-//! split into contiguous runs whose `tu` ranges are recorded in the index,
-//! so a lookup touches exactly one block.
+//! The in-memory cost becomes `static component + edge headers + page
+//! index + resident pages + materialized shortcut closures`; slicing pays
+//! an I/O penalty only on page misses. Because channels are sorted by
+//! use-timestamp, each channel is split into contiguous runs whose `tu`
+//! ranges are recorded in the index, so a lookup touches exactly one page.
+//!
+//! Slicing is OPT's own traversal ([`CompactGraph`]'s shortcut walk, or
+//! its plain walk when [`PagedGraph::shortcuts`] is off): this module only
+//! supplies the labels, through a per-query `PageReader`. The shortcut
+//! closures live in the drained graph's memo exactly as they do for OPT.
+//!
+//! Pages are small on purpose. Most channel runs hold a handful of pairs,
+//! so a miss should fetch little more than the run it needs; the resident
+//! budget is counted in pages (the default 128 pages is 512 KiB of labels).
 //!
 //! # Concurrency
 //!
@@ -16,23 +25,29 @@
 //! so the batch slice engine can fan queries out over it exactly as it does
 //! over [`CompactGraph`]:
 //!
-//! * the block cache is **sharded** — block `b` lives in shard
+//! * the page cache is **sharded** — page `b` lives in shard
 //!   `b % num_shards`, each shard behind its own [`Mutex`], so concurrent
-//!   workers touching different blocks rarely contend;
+//!   workers touching different pages rarely contend;
 //! * within a shard eviction is **true LRU**: every hit refreshes the
-//!   block's recency stamp, so hot blocks survive regardless of insertion
+//!   page's recency stamp, so hot pages survive regardless of insertion
 //!   age (the original single-threaded cache was FIFO by mistake);
-//! * cached blocks are handed out as [`Arc`] clones, so no lock is held
-//!   while a worker binary-searches a run;
+//! * a hit searches its run (a few comparisons) under the shard lock, so
+//!   the hot path clones no [`Arc`]; a miss reads and decodes with no
+//!   lock held and shares the new page with the shard through an `Arc`;
+//!   shard maps hash page ids with one multiply, not SipHash;
 //! * disk reads go through **one shared handle** using positioned reads
 //!   ([`std::os::unix::fs::FileExt::read_exact_at`] on Unix) — a miss never
 //!   re-opens the spill file, and two threads can read concurrently;
 //! * [`PagedStats`] counters are atomics, readable at any time without
 //!   stopping the workers. A miss is counted only after the read
-//!   *succeeds*, so failed I/O does not skew hit-rate accounting.
+//!   *succeeds*, so failed I/O does not skew hit-rate accounting. Each
+//!   query tallies its own traffic, so per-query figures never mix in a
+//!   concurrent query's reads; its hits reach the shared atomics once,
+//!   when the query ends, rather than once per lookup.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs::File;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, BufWriter, Write};
 use std::mem::size_of;
 use std::path::{Path, PathBuf};
@@ -42,11 +57,13 @@ use std::sync::{Arc, Mutex};
 use dynslice_ir::StmtId;
 use dynslice_runtime::Cell;
 
-use crate::compact::CompactGraph;
-use crate::nodes::{CdRes, UseRes};
+use crate::compact::{CompactGraph, LabelSearch, TraversalStats};
 
-/// Pairs per spilled block.
-pub const BLOCK_PAIRS: usize = 4096;
+/// Pairs per spilled block: one 4 KiB page.
+pub const BLOCK_PAIRS: usize = 256;
+
+/// Bytes of one full spilled block (a page).
+const PAGE_BYTES: usize = BLOCK_PAIRS * PAIR_BYTES;
 
 /// Upper bound on cache shards. The actual shard count is chosen so every
 /// shard holds at least two blocks (when the budget allows), keeping
@@ -80,16 +97,32 @@ fn geometry_u32(v: usize, what: &str) -> io::Result<u32> {
     })
 }
 
-/// A channel's index: which block holds which `tu` range.
-#[derive(Clone, Debug, Default)]
-struct ChannelIndex {
-    /// `(first tu in run, block id, start offset in pairs, len)` per run,
-    /// sorted by first tu.
-    runs: Vec<(u64, u32, u32, u32)>,
+/// One run of a channel: `(first tu in run, block id, start offset in
+/// pairs, len)`.
+type Run = (u64, u32, u32, u32);
+
+/// The run index: which block holds which `tu` range of each channel.
+/// Every channel's runs sit in one array, so a lookup touches one
+/// allocation rather than one per channel.
+#[derive(Debug, Default)]
+struct RunIndex {
+    /// All runs; each channel's are contiguous and sorted by first tu.
+    runs: Vec<Run>,
+    /// Channel `c`'s runs are `runs[run_start[c]..run_start[c + 1]]`.
+    run_start: Vec<usize>,
 }
 
-/// One run entry's in-memory size (what `resident_bytes` charges).
-const RUN_BYTES: usize = size_of::<(u64, u32, u32, u32)>();
+impl RunIndex {
+    fn channel(&self, chan: u32) -> &[Run] {
+        let c = chan as usize;
+        &self.runs[self.run_start[c]..self.run_start[c + 1]]
+    }
+
+    /// In-memory size (what `resident_bytes` charges).
+    fn bytes(&self) -> u64 {
+        (self.runs.len() * size_of::<Run>() + self.run_start.len() * size_of::<usize>()) as u64
+    }
+}
 
 /// Statistics from paged slicing. A snapshot of the graph's atomic
 /// counters; subtract two snapshots to meter one phase.
@@ -135,19 +168,40 @@ impl dynslice_obs::RecordMetrics for PagedStats {
     }
 }
 
-/// A resident block: shared out to readers so no shard lock is held while
-/// a run is searched.
-type Block = Arc<Vec<(u64, u64)>>;
+/// A resident block. A miss decodes it outside any lock, so it is shared
+/// between the loader and the shard.
+type Block = Arc<[(u64, u64)]>;
+
+/// Hashes a block id for its shard's map: one multiply instead of a
+/// SipHash per lookup. Ids are small integers that a shard holds at a
+/// stride (shard `i` of `n` holds `i, i + n, …`), so the multiply spreads
+/// them and the fold brings its high bits down to the bucket-picking low
+/// bits.
+#[derive(Default)]
+struct BlockIdHasher(u64);
+
+impl Hasher for BlockIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0 << 8 | u64::from(b);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let x = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 32)
+    }
+}
 
 /// One cache shard: true LRU over the blocks mapped to it.
 #[derive(Debug)]
 struct CacheShard {
-    /// Resident-block budget for this shard.
+    /// Resident-page budget for this shard.
     capacity: usize,
     /// Monotone recency clock; bumped on every touch.
     tick: u64,
     /// `block id -> (pairs, last-touch tick)`.
-    blocks: HashMap<u32, (Block, u64)>,
+    blocks: HashMap<u32, (Block, u64), BuildHasherDefault<BlockIdHasher>>,
 }
 
 impl CacheShard {
@@ -162,24 +216,24 @@ impl CacheShard {
     }
 
     /// Touches `id`, refreshing its recency; returns the block if resident.
-    fn touch(&mut self, id: u32) -> Option<Block> {
+    fn touch(&mut self, id: u32) -> Option<&Block> {
         let now = self.tick;
         let (block, stamp) = self.blocks.get_mut(&id)?;
         *stamp = now;
         self.tick = now + 1;
-        Some(Arc::clone(block))
+        Some(block)
     }
 
     /// Inserts `block` (evicting LRU entries first) unless a racing loader
     /// already did.
-    fn insert(&mut self, id: u32, block: &Block) {
+    fn insert(&mut self, id: u32, block: Block) {
         if self.touch(id).is_some() {
             return;
         }
         self.make_room();
         let now = self.tick;
         self.tick = now + 1;
-        self.blocks.insert(id, (Arc::clone(block), now));
+        self.blocks.insert(id, (block, now));
     }
 }
 
@@ -229,10 +283,13 @@ pub struct PagedGraph {
     keep_spill: bool,
     spill: SpillFile,
     blocks: Vec<BlockMeta>,
-    channels: Vec<ChannelIndex>,
+    index: RunIndex,
     /// Sharded resident block cache; block `b` lives in shard
     /// `b % shards.len()`.
     shards: Vec<Mutex<CacheShard>>,
+    /// Whether queries traverse shortcut edges (the paper's default), as
+    /// [`CompactGraph::slice`]'s `use_shortcuts` does for OPT.
+    pub shortcuts: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes_read: AtomicU64,
@@ -248,22 +305,30 @@ impl Drop for PagedGraph {
 
 impl PagedGraph {
     /// Spills `graph`'s channels to `path`, keeping `resident_blocks`
-    /// blocks in memory during slicing. The spill file is removed when the
+    /// pages in memory during slicing. The spill file is removed when the
     /// graph is dropped unless [`PagedGraph::keep_spill_file`] says
     /// otherwise.
     ///
     /// # Errors
-    /// Propagates I/O errors from writing the spill file.
+    /// `InvalidInput` for a zero budget (slicing could hold no page);
+    /// otherwise I/O errors from writing the spill file.
     pub fn spill(
         mut graph: CompactGraph,
         path: impl AsRef<Path>,
         resident_blocks: usize,
     ) -> io::Result<Self> {
+        if resident_blocks == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "paged resident budget must be at least one page",
+            ));
+        }
         let path = path.as_ref().to_path_buf();
         let mut file = BufWriter::new(File::create(&path)?);
         let drained = graph.drain_channels();
         let mut blocks = Vec::new();
-        let mut channels = Vec::with_capacity(drained.len());
+        let mut index =
+            RunIndex { runs: Vec::new(), run_start: Vec::with_capacity(drained.len() + 1) };
         let mut cur: Vec<(u64, u64)> = Vec::with_capacity(BLOCK_PAIRS);
         let mut offset = 0u64;
 
@@ -285,7 +350,7 @@ impl PagedGraph {
             };
 
         for pairs in drained {
-            let mut index = ChannelIndex::default();
+            index.run_start.push(index.runs.len());
             let mut i = 0usize;
             while i < pairs.len() {
                 if cur.len() == BLOCK_PAIRS {
@@ -303,8 +368,8 @@ impl PagedGraph {
                 cur.extend_from_slice(&pairs[i..i + take]);
                 i += take;
             }
-            channels.push(index);
         }
+        index.run_start.push(index.runs.len());
         flush(&mut cur, &mut blocks, &mut file, &mut offset)?;
         file.flush()?;
         drop(file);
@@ -312,12 +377,12 @@ impl PagedGraph {
 
         // Shard the resident budget so each shard keeps at least two
         // blocks when the budget allows — per-shard LRU stays meaningful.
-        let budget = resident_blocks.max(1);
-        let num_shards = (budget / 2).clamp(1, CACHE_SHARDS);
+        let num_shards = (resident_blocks / 2).clamp(1, CACHE_SHARDS);
         let shards = (0..num_shards)
             .map(|i| {
-                let capacity = budget / num_shards + usize::from(i < budget % num_shards);
-                Mutex::new(CacheShard { capacity, tick: 0, blocks: HashMap::new() })
+                let capacity =
+                    resident_blocks / num_shards + usize::from(i < resident_blocks % num_shards);
+                Mutex::new(CacheShard { capacity, tick: 0, blocks: HashMap::default() })
             })
             .collect();
         Ok(Self {
@@ -326,8 +391,9 @@ impl PagedGraph {
             keep_spill: false,
             spill,
             blocks,
-            channels,
+            index,
             shards,
+            shortcuts: true,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
@@ -351,7 +417,7 @@ impl PagedGraph {
         self.keep_spill = keep;
     }
 
-    /// Total resident-block budget across all shards.
+    /// Total resident-page budget across all shards.
     pub fn resident_block_budget(&self) -> usize {
         self.shards.iter().map(|s| s.lock().expect("cache shard").capacity).sum()
     }
@@ -386,20 +452,22 @@ impl PagedGraph {
     /// Worst-case resident-block bytes if every cache slot held a full
     /// block (the bound the `resident_blocks` budget enforces).
     pub fn resident_block_capacity_bytes(&self) -> u64 {
-        self.resident_block_budget() as u64 * (BLOCK_PAIRS * PAIR_BYTES) as u64
+        self.resident_block_budget() as u64 * PAGE_BYTES as u64
     }
 
-    /// In-memory bytes while slicing: the drained graph plus the block
-    /// index plus the blocks *actually* resident right now.
+    /// In-memory bytes while slicing: the drained graph, the block index,
+    /// the blocks *actually* resident right now, and the shortcut closures
+    /// materialized so far. Nothing here materializes a closure.
     pub fn resident_bytes(&self) -> u64 {
-        let g = self.graph.size(false);
-        let index: u64 = self
-            .channels
-            .iter()
-            .map(|c| (c.runs.len() * RUN_BYTES) as u64)
-            .sum::<u64>()
-            + (self.blocks.len() * size_of::<BlockMeta>()) as u64;
-        g.bytes() + index + self.resident_block_bytes()
+        self.graph.size(false).bytes()
+            + self.index_bytes()
+            + self.resident_block_bytes()
+            + self.graph.materialized_shortcut_bytes()
+    }
+
+    /// Bytes of the run and block index.
+    fn index_bytes(&self) -> u64 {
+        self.index.bytes() + (self.blocks.len() * size_of::<BlockMeta>()) as u64
     }
 
     /// Bytes spilled to disk.
@@ -419,14 +487,23 @@ impl PagedGraph {
         );
     }
 
-    /// Returns block `id`, from cache or disk. Lock discipline: the shard
-    /// lock is never held across the disk read; a hit refreshes the
-    /// block's LRU stamp.
-    fn load_block(&self, id: u32) -> io::Result<Block> {
+    /// Runs `f` over block `id`'s pairs, from cache or disk, tallying the
+    /// lookup in the caller's `query`. Lock discipline: a hit refreshes
+    /// the block's LRU stamp and runs `f` (a search of one short run)
+    /// under the shard lock; a miss reads with no lock held and counts in
+    /// the graph's atomics only once the read succeeds. Hits reach the
+    /// atomics when the query ends ([`PagedGraph::slice_with_stats`]), so
+    /// concurrent queries do not contend on one counter per lookup.
+    fn with_block<R>(
+        &self,
+        id: u32,
+        query: &mut PagedStats,
+        f: impl FnOnce(&[(u64, u64)]) -> R,
+    ) -> io::Result<R> {
         let shard = &self.shards[id as usize % self.shards.len()];
         if let Some(block) = shard.lock().expect("cache shard").touch(id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(block);
+            query.hits += 1;
+            return Ok(f(block));
         }
         // Miss: read through the shared handle without any lock. Two
         // threads racing on the same block both read (identical bytes);
@@ -443,21 +520,23 @@ impl PagedGraph {
             })?;
         let mut buf = vec![0u8; nbytes];
         self.read_spill_with_retry(&mut buf, meta.offset)?;
-        let block: Block = Arc::new(
-            buf.chunks_exact(PAIR_BYTES)
-                .map(|c| {
-                    (
-                        u64::from_le_bytes(c[0..8].try_into().expect("8 bytes")),
-                        u64::from_le_bytes(c[8..16].try_into().expect("8 bytes")),
-                    )
-                })
-                .collect(),
-        );
+        let block: Block = buf
+            .chunks_exact(PAIR_BYTES)
+            .map(|c| {
+                (
+                    u64::from_le_bytes(c[0..8].try_into().expect("8 bytes")),
+                    u64::from_le_bytes(c[8..16].try_into().expect("8 bytes")),
+                )
+            })
+            .collect();
         // The read succeeded: only now does it count as a miss.
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        shard.lock().expect("cache shard").insert(id, &block);
-        Ok(block)
+        query.misses += 1;
+        query.bytes_read += buf.len() as u64;
+        let found = f(&block);
+        shard.lock().expect("cache shard").insert(id, block);
+        Ok(found)
     }
 
     /// Reads spill bytes at `offset`, retrying a transient failure with
@@ -488,58 +567,6 @@ impl PagedGraph {
         unreachable!("the final attempt returns")
     }
 
-    /// Searches channel `chan` for the pair with use-timestamp `tu`.
-    fn chan_search(&self, chan: u32, tu: u64) -> io::Result<Option<u64>> {
-        let index = &self.channels[chan as usize];
-        // Find the run that could contain tu: the last run with first <= tu.
-        let pos = index.runs.partition_point(|r| r.0 <= tu);
-        if pos == 0 {
-            return Ok(None);
-        }
-        let (_, block, start, len) = index.runs[pos - 1];
-        let pairs = self.load_block(block)?;
-        let run = &pairs[start as usize..(start + len) as usize];
-        Ok(run
-            .binary_search_by_key(&tu, |&(_, b)| b)
-            .ok()
-            .map(|i| run[i].0))
-    }
-
-    /// Resolves use `(occ, k)` at `ts` — the paged analogue of
-    /// [`CompactGraph::resolve_use`].
-    ///
-    /// # Errors
-    /// Propagates I/O errors from block loads.
-    pub fn resolve_use(&self, occ: u32, k: u8, ts: u64) -> io::Result<Option<(u32, u64)>> {
-        for &(target, chan) in self.graph.dyn_edges(occ, k) {
-            if let Some(td) = self.chan_search(chan, ts)? {
-                return Ok((target != u32::MAX).then_some((target, td)));
-            }
-        }
-        match self.graph.nodes.use_res[occ as usize][k as usize] {
-            UseRes::StaticDu { target, .. } => Ok(Some((target, ts))),
-            UseRes::StaticUu { target, use_idx, .. } => self.resolve_use(target, use_idx, ts),
-            _ => Ok(None),
-        }
-    }
-
-    /// Resolves the control dependence of `occ` at `ts`.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from block loads.
-    pub fn resolve_cd(&self, occ: u32, ts: u64) -> io::Result<Option<(u32, u64)>> {
-        let key = self.graph.nodes.occ_block_key[occ as usize];
-        for &(target, chan) in self.graph.cd_edges(key) {
-            if let Some(tp) = self.chan_search(chan, ts)? {
-                return Ok((target != u32::MAX).then_some((target, tp)));
-            }
-        }
-        match self.graph.nodes.cd_res[occ as usize] {
-            CdRes::Static { target, delta, .. } if ts >= delta => Ok(Some((target, ts - delta))),
-            _ => Ok(None),
-        }
-    }
-
     /// Computes a backward slice from instance `(occ, ts)`.
     ///
     /// # Errors
@@ -548,41 +575,51 @@ impl PagedGraph {
         Ok(self.slice_with_stats(occ, ts)?.0)
     }
 
-    /// [`Self::slice`], also returning the number of distinct
-    /// `(occurrence, timestamp)` instances visited (the batch engine's
-    /// per-worker traversal counter).
+    /// [`Self::slice`], also returning OPT's traversal counters and this
+    /// query's own page-cache traffic.
     ///
     /// # Errors
     /// Propagates I/O errors from block loads.
-    pub fn slice_with_stats(&self, occ: u32, ts: u64) -> io::Result<(BTreeSet<StmtId>, u64)> {
-        let mut slice = BTreeSet::new();
-        let mut visited = std::collections::HashSet::new();
-        let mut work = vec![(occ, ts)];
-        let mut instances = 0u64;
-        slice.insert(self.graph.stmt_of(occ));
-        while let Some((occ, ts)) = work.pop() {
-            if !visited.insert((occ, ts)) {
-                continue;
-            }
-            instances += 1;
-            let nuses = self.graph.nodes.use_res[occ as usize].len();
-            for k in 0..nuses as u8 {
-                if let Some((docc, td)) = self.resolve_use(occ, k, ts)? {
-                    slice.insert(self.graph.stmt_of(docc));
-                    work.push((docc, td));
-                }
-            }
-            if let Some((pocc, tp)) = self.resolve_cd(occ, ts)? {
-                slice.insert(self.graph.stmt_of(pocc));
-                work.push((pocc, tp));
-            }
-        }
-        Ok((slice, instances))
+    pub fn slice_with_stats(
+        &self,
+        occ: u32,
+        ts: u64,
+    ) -> io::Result<(BTreeSet<StmtId>, TraversalStats, PagedStats)> {
+        let mut reader = PageReader { graph: self, query: PagedStats::default() };
+        let mut stats = TraversalStats::default();
+        let slice = self.graph.slice_in(&mut reader, occ, ts, self.shortcuts, &mut stats);
+        self.hits.fetch_add(reader.query.hits, Ordering::Relaxed);
+        Ok((slice?, stats, reader.query))
     }
 
     /// The final defining instance of `cell`, if any.
     pub fn last_def_of(&self, cell: Cell) -> Option<(u32, u64)> {
         self.graph.last_def_of(cell)
+    }
+}
+
+/// One query's view of the page cache: label lookups for OPT's traversal,
+/// tallying the query's own hits, misses and bytes read.
+struct PageReader<'g> {
+    graph: &'g PagedGraph,
+    query: PagedStats,
+}
+
+impl LabelSearch for PageReader<'_> {
+    type Error = io::Error;
+
+    fn search(&mut self, chan: u32, tu: u64) -> io::Result<Option<u64>> {
+        let runs = self.graph.index.channel(chan);
+        // Find the run that could contain tu: the last run with first <= tu.
+        let pos = runs.partition_point(|r| r.0 <= tu);
+        if pos == 0 {
+            return Ok(None);
+        }
+        let (_, block, start, len) = runs[pos - 1];
+        self.graph.with_block(block, &mut self.query, |pairs| {
+            let run = &pairs[start as usize..(start + len) as usize];
+            run.binary_search_by_key(&tu, |&(_, u)| u).ok().map(|i| run[i].0)
+        })
     }
 }
 
@@ -694,12 +731,15 @@ mod tests {
         let paged = PagedGraph::spill(opt, spill_path("lru"), 2).unwrap();
         assert!(paged.blocks.len() >= 3, "need at least 3 blocks");
         assert_eq!(paged.shards.len(), 1);
-        paged.load_block(0).unwrap(); // miss
-        paged.load_block(1).unwrap(); // miss
-        paged.load_block(0).unwrap(); // hit — must refresh 0's recency
-        paged.load_block(2).unwrap(); // miss; evicts LRU = 1 (FIFO evicted 0)
-        paged.load_block(0).unwrap(); // LRU: hit. FIFO: miss.
-        let st = paged.stats();
+        let query = &mut PagedStats::default();
+        let load = |id, query: &mut PagedStats| paged.with_block(id, query, |_| ()).unwrap();
+        load(0, query); // miss
+        load(1, query); // miss
+        load(0, query); // hit — must refresh 0's recency
+        load(2, query); // miss; evicts LRU = 1 (FIFO evicted 0)
+        load(0, query); // LRU: hit. FIFO: miss.
+        let st = *query;
+        assert_eq!(paged.stats().misses, st.misses, "misses count as they happen");
         assert_eq!(
             (st.hits, st.misses),
             (2, 3),
@@ -716,7 +756,10 @@ mod tests {
     fn resident_accounting_tracks_occupancy() {
         let (p, a, t) = setup(SRC);
         let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
-        let paged = PagedGraph::spill(opt, spill_path("resident"), 2).unwrap();
+        let mut paged = PagedGraph::spill(opt, spill_path("resident"), 2).unwrap();
+        // Without shortcuts no closure is materialized, so only the
+        // pages' occupancy moves.
+        paged.shortcuts = false;
         let cold = paged.resident_bytes();
         assert_eq!(paged.resident_block_bytes(), 0, "cold cache holds no blocks");
         let (cell, _) = paged.graph().last_def.iter().next().map(|(c, i)| (*c, *i)).unwrap();
@@ -730,6 +773,67 @@ mod tests {
             paged.resident_block_capacity_bytes()
         );
         assert_eq!(paged.resident_bytes(), cold + warm);
+    }
+
+    /// `resident_bytes` charges the shortcut closures slicing has
+    /// materialized, from a running count: a fresh graph charges none,
+    /// and measuring materializes nothing.
+    #[test]
+    fn resident_bytes_charge_materialized_shortcuts() {
+        let (p, a, t) = setup(SRC);
+        let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
+        let paged = PagedGraph::spill(opt, spill_path("shortcut-bytes"), 2).unwrap();
+        let g = paged.graph();
+        assert_eq!(g.materialized_shortcut_bytes(), 0, "fresh graph charges no shortcuts");
+        assert_eq!(
+            paged.resident_bytes(),
+            g.size(false).bytes() + paged.index_bytes() + paged.resident_block_bytes()
+        );
+        let mut cells: Vec<_> = g.last_def.keys().copied().collect();
+        cells.sort();
+        for cell in cells {
+            let (occ, ts) = paged.last_def_of(cell).unwrap();
+            paged.slice(occ, ts).unwrap();
+        }
+        let shortcut_bytes = g.materialized_shortcut_bytes();
+        assert!(shortcut_bytes > 0, "slicing should materialize closures");
+        let materialized = g.shortcuts_materialized();
+        assert_eq!(
+            paged.resident_bytes(),
+            g.size(false).bytes()
+                + paged.index_bytes()
+                + paged.resident_block_bytes()
+                + shortcut_bytes
+        );
+        assert_eq!(g.shortcuts_materialized(), materialized, "measuring materialized closures");
+    }
+
+    /// A zero budget is refused instead of quietly becoming one page.
+    #[test]
+    fn zero_budget_is_invalid_input() {
+        let (p, a, t) = setup(SRC);
+        let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
+        let path = spill_path("zero");
+        let err = PagedGraph::spill(opt, &path, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!path.exists(), "a refused spill writes no file");
+    }
+
+    /// Every spilled block is one page: at most 4096 bytes, starting at a
+    /// 4096-aligned offset of the spill file.
+    #[test]
+    fn spilled_blocks_are_aligned_4k_pages() {
+        let (p, a, t) = setup(MANY_BLOCKS_SRC);
+        let opt = build_compact(&p, &a, &t.events, &OptConfig::none());
+        let paged = PagedGraph::spill(opt, spill_path("pages"), 2).unwrap();
+        assert_eq!(PAGE_BYTES, 4096);
+        assert!(paged.blocks.len() >= 3, "need several pages");
+        for (i, b) in paged.blocks.iter().enumerate() {
+            assert!(b.len * PAIR_BYTES as u64 <= 4096, "page {i} holds {} pairs", b.len);
+            assert_eq!(b.offset % 4096, 0, "page {i} starts at {}", b.offset);
+        }
+        let len = std::fs::metadata(paged.spill_path()).unwrap().len();
+        assert_eq!(len, paged.spilled_bytes());
     }
 
     /// The spill file is removed on drop by default; `keep_spill_file`
@@ -787,7 +891,7 @@ mod tests {
         let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
         let mut paged = PagedGraph::spill(opt, spill_path("overflow"), 2).unwrap();
         paged.blocks[0].len = u64::MAX / 2; // `len * PAIR_BYTES` cannot fit
-        let err = paged.load_block(0).unwrap_err();
+        let err = paged.with_block(0, &mut PagedStats::default(), |_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

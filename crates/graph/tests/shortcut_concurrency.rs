@@ -146,3 +146,30 @@ fn materialization_counter_is_bounded_and_saturates() {
     let _ = g.size(true);
     assert_eq!(g.shortcuts_materialized(), occs);
 }
+
+/// The running count of materialized shortcut bytes follows racing
+/// writers exactly: only the winner of a slot adds its closure, so once
+/// `size(true)` has materialized every closure the count equals the skip
+/// lists `size(true)` charges.
+#[test]
+fn materialized_shortcut_bytes_match_the_size_model() {
+    let (_p, g) = build();
+    assert_eq!(g.materialized_shortcut_bytes(), 0);
+    let qs = criteria(&g);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let g = &g;
+            let qs = &qs;
+            scope.spawn(move || {
+                for &(occ, ts) in qs {
+                    let _ = g.slice(occ, ts, true);
+                }
+            });
+        }
+    });
+    let sliced = g.materialized_shortcut_bytes();
+    assert!(sliced > 0, "slicing materialized no multi-statement closure");
+    let full = g.size(true).bytes() - g.size(false).bytes();
+    assert!(sliced <= full, "{sliced} > {full}");
+    assert_eq!(g.materialized_shortcut_bytes(), full);
+}

@@ -97,9 +97,11 @@ pub struct SliceStats {
     /// `(occurrence, timestamp)` instances visited during graph traversal
     /// (FP/OPT/paged).
     pub instances_visited: u64,
-    /// Shortcut closures materialized into the shared memo table (OPT).
+    /// Shortcut closures materialized into the shared memo table
+    /// (OPT/paged).
     pub shortcuts_materialized: u64,
-    /// Traversal steps answered by a memoized shortcut closure (OPT).
+    /// Traversal steps answered by a memoized shortcut closure
+    /// (OPT/paged).
     pub shortcut_hits: u64,
     /// Backward passes over the record stream (LP).
     pub passes: u32,
@@ -109,7 +111,7 @@ pub struct SliceStats {
     pub chunks_skipped: u64,
     /// Individual trace records examined (LP).
     pub records_scanned: u64,
-    /// Bytes read from disk (LP).
+    /// Bytes read from disk by this query (LP/paged).
     pub bytes_read: u64,
 }
 
@@ -117,6 +119,10 @@ impl SliceStats {
     /// Registers the nonzero counters under `{slicer}.{field}` — e.g.
     /// `opt.instances_visited`, `lp.records_scanned` — preserving the
     /// per-algorithm report keys that predate the unified trait.
+    ///
+    /// The paged backend's `bytes_read` is left out: its cache keeps the
+    /// running total, which `PagedGraph::record_metrics` registers under
+    /// the same `paged.bytes_read` key.
     pub fn record_metrics_for(&self, slicer: &str, reg: &dynslice_obs::Registry) {
         let pairs: [(&str, u64); 8] = [
             ("instances_visited", self.instances_visited),
@@ -129,7 +135,7 @@ impl SliceStats {
             ("bytes_read", self.bytes_read),
         ];
         for (field, value) in pairs {
-            if value != 0 {
+            if value != 0 && !(slicer == "paged" && field == "bytes_read") {
                 reg.counter_add(&format!("{slicer}.{field}"), value);
             }
         }
@@ -186,8 +192,9 @@ pub trait Slicer: Sync {
 }
 
 /// The demand-paged hybrid graph (§4.2) slices directly: criterion lookup
-/// against the resident index, traversal paging blocks in from the spill
-/// file. The block cache is internally sharded and thread-safe.
+/// against the resident index, then OPT's traversal with labels paged in
+/// from the spill file. The page cache is internally sharded and
+/// thread-safe; `bytes_read` is this query's own disk traffic.
 impl Slicer for PagedGraph {
     fn name(&self) -> &'static str {
         "paged"
@@ -199,8 +206,8 @@ impl Slicer for PagedGraph {
             Criterion::Output(k) => self.graph().outputs.get(*k).copied(),
         }
         .ok_or(SliceError::UnknownCriterion)?;
-        let (stmts, visited) = self.slice_with_stats(occ, ts)?;
-        let stats = SliceStats { instances_visited: visited, ..SliceStats::default() };
+        let (stmts, traversal, query) = self.slice_with_stats(occ, ts)?;
+        let stats = SliceStats { bytes_read: query.bytes_read, ..SliceStats::from(traversal) };
         Ok((Slice { stmts }, stats))
     }
 }
@@ -237,6 +244,21 @@ mod tests {
             !report.counters.contains_key("opt.records_scanned"),
             "zero fields must not pollute the report"
         );
+    }
+
+    /// A paged query's `bytes_read` stays out of the registry: the page
+    /// cache registers the running total under the same key, and adding
+    /// both would count every byte twice.
+    #[test]
+    fn paged_bytes_read_is_left_to_the_cache_counters() {
+        let stats = SliceStats { shortcut_hits: 4, bytes_read: 4096, ..SliceStats::default() };
+        let reg = dynslice_obs::Registry::new();
+        stats.record_metrics_for("paged", &reg);
+        stats.record_metrics_for("lp", &reg);
+        let report = reg.report("paged", std::collections::BTreeMap::new());
+        assert_eq!(report.counter_or_zero("paged.shortcut_hits"), 4);
+        assert!(!report.counters.contains_key("paged.bytes_read"));
+        assert_eq!(report.counter_or_zero("lp.bytes_read"), 4096);
     }
 
     #[test]

@@ -12,9 +12,9 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-/// Resident-block budgets the paged backend is exercised at: a single
-/// block (worst-case thrashing), the minimum sharded budget, and a
-/// comfortable cache.
+/// Resident-page budgets the paged backend is exercised at: a single
+/// page (worst-case thrashing), the minimum sharded budget, and a
+/// comfortable cache. Each is sliced with shortcuts on and off.
 const RESIDENT_BUDGETS: [usize; 3] = [1, 2, 8];
 
 /// A pid-scoped scratch directory so concurrent `cargo test` invocations
@@ -72,7 +72,7 @@ fn check_seed(seed: u64, alias_pct: u64, recursion: bool) {
     // One resident budget per seed keeps the proptest cheap while the case
     // population still covers all three budgets.
     let resident = RESIDENT_BUDGETS[seed as usize % RESIDENT_BUDGETS.len()];
-    let paged = session
+    let mut paged = session
         .paged(
             &trace,
             &OptConfig::default(),
@@ -93,8 +93,14 @@ fn check_seed(seed: u64, alias_pct: u64, recursion: bool) {
         }
         let (l, _) = lp.slice_detailed(q).unwrap().expect("lp");
         assert_eq!(expect, l.stmts, "seed {seed} LP cell {c:?}\n{src}");
-        let p = paged_slice(&paged, q).expect("paged");
-        assert_eq!(expect, p, "seed {seed} paged (resident {resident}) cell {c:?}\n{src}");
+        for shortcuts in [true, false] {
+            paged.shortcuts = shortcuts;
+            let p = paged_slice(&paged, q).expect("paged");
+            assert_eq!(
+                expect, p,
+                "seed {seed} paged (resident {resident}, shortcuts {shortcuts}) cell {c:?}\n{src}"
+            );
+        }
         let f = fwd.slice(&q).expect("forward").stmts;
         assert!(f.is_subset(&expect), "seed {seed} forward ⊄ backward for {c:?}\n{src}");
     }
@@ -106,8 +112,14 @@ fn check_seed(seed: u64, alias_pct: u64, recursion: bool) {
         }
         let (l, _) = lp.slice_detailed(q).unwrap().expect("lp");
         assert_eq!(expect, l.stmts, "seed {seed} LP output {k}");
-        let p = paged_slice(&paged, q).expect("paged");
-        assert_eq!(expect, p, "seed {seed} paged (resident {resident}) output {k}");
+        for shortcuts in [true, false] {
+            paged.shortcuts = shortcuts;
+            let p = paged_slice(&paged, q).expect("paged");
+            assert_eq!(
+                expect, p,
+                "seed {seed} paged (resident {resident}, shortcuts {shortcuts}) output {k}"
+            );
+        }
     }
     std::fs::remove_file(dir.join(format!("d{seed}-{alias_pct}-{recursion}.bin"))).ok();
 }
@@ -203,7 +215,7 @@ proptest! {
 
     /// Batch parity for the §4.2 hybrid: the parallel batch engine over a
     /// shared `PagedGraph` returns byte-identical slices to sequential
-    /// paged slicing — for 1–8 workers, every resident-block budget, with
+    /// paged slicing — for 1–8 workers, every resident-page budget, with
     /// the result cache on and off, and with no I/O errors.
     #[test]
     fn prop_paged_batch_matches_sequential(
@@ -289,8 +301,8 @@ fn contains_call(program: &dynslice::Program, stmts: &BTreeSet<dynslice::StmtId>
 
 /// The full differential oracle on one program/trace: for every given
 /// criterion, FP == OPT (all configs) == LP == paged (at every resident
-/// budget), forward ⊆ backward always, and forward == backward when the
-/// slice reaches no call statement.
+/// budget, shortcuts on and off), forward ⊆ backward always, and
+/// forward == backward when the slice reaches no call statement.
 fn four_way_check(name: &str, session: &Session, trace: &dynslice::Trace, queries: &[Criterion]) {
     let fp = session.fp(trace);
     let configs = [
@@ -302,7 +314,7 @@ fn four_way_check(name: &str, session: &Session, trace: &dynslice::Trace, querie
     let tag = name.replace('/', "_");
     let lp_path = dir.join(format!("fourway-{tag}.bin"));
     let lp = session.lp(trace, &lp_path).unwrap();
-    let pageds: Vec<(usize, PagedGraph)> = RESIDENT_BUDGETS
+    let mut pageds: Vec<(usize, PagedGraph)> = RESIDENT_BUDGETS
         .iter()
         .map(|&r| {
             let path = dir.join(format!("fourway-{tag}-r{r}.bin"));
@@ -320,11 +332,14 @@ fn four_way_check(name: &str, session: &Session, trace: &dynslice::Trace, querie
                     assert!(o.slice(&q).is_err(), "{name}: OPT found unexecuted {q:?}");
                 }
                 assert!(lp.slice_detailed(q).unwrap().is_none(), "{name}: LP found unexecuted {q:?}");
-                for (r, p) in &pageds {
-                    assert!(
-                        paged_slice(p, q).is_none(),
-                        "{name}: paged (resident {r}) found unexecuted {q:?}"
-                    );
+                for (r, p) in &mut pageds {
+                    for shortcuts in [true, false] {
+                        p.shortcuts = shortcuts;
+                        assert!(
+                            paged_slice(p, q).is_none(),
+                            "{name}: paged (resident {r}, shortcuts {shortcuts}) found unexecuted {q:?}"
+                        );
+                    }
                 }
                 assert!(fwd.slice(&q).is_err(), "{name}: forward found unexecuted {q:?}");
                 continue;
@@ -335,12 +350,15 @@ fn four_way_check(name: &str, session: &Session, trace: &dynslice::Trace, querie
         }
         let (l, _) = lp.slice_detailed(q).unwrap().expect("lp slice");
         assert_eq!(expect, l.stmts, "{name}: FP vs LP for {q:?}");
-        for (r, p) in &pageds {
-            assert_eq!(
-                expect,
-                paged_slice(p, q).expect("paged slice"),
-                "{name}: FP vs paged (resident {r}) for {q:?}"
-            );
+        for (r, p) in &mut pageds {
+            for shortcuts in [true, false] {
+                p.shortcuts = shortcuts;
+                assert_eq!(
+                    expect,
+                    paged_slice(p, q).expect("paged slice"),
+                    "{name}: FP vs paged (resident {r}, shortcuts {shortcuts}) for {q:?}"
+                );
+            }
         }
         let f = fwd.slice(&q).expect("forward slice").stmts;
         assert!(
@@ -387,4 +405,47 @@ fn proptest_regression_seeds() {
     // seeds are pinned here explicitly.
     check_seed(93, 1, false);
     check_seed(2165, 25, true);
+}
+
+/// One walk behind two backends: per query, OPT and paged report the
+/// same `instances_visited`, `shortcut_hits` and `shortcuts_materialized`
+/// through the unified trait when they answer the same queries in the
+/// same order on graphs built from the same trace — shortcuts on and off.
+#[test]
+fn opt_and_paged_report_identical_traversal_counters() {
+    // A label-heavy workload that pages at this budget, and two light ones.
+    for name in ["300.twolf", "164.gzip", "130.li"] {
+        let w = dynslice::workloads::by_name(name).expect("suite workload");
+        let src = w.source(0.05);
+        let session = Session::compile(&src).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let trace = session.run_with(VmOptions { input: w.input.clone(), ..Default::default() });
+        for shortcuts in [true, false] {
+            let mut opt = session.opt(&trace, &OptConfig::default());
+            opt.shortcuts = shortcuts;
+            let path = diff_dir().join(format!("one-walk-{}-{shortcuts}.bin", w.name));
+            let mut paged = session.paged(&trace, &OptConfig::default(), path, 2).unwrap();
+            paged.shortcuts = shortcuts;
+            let before = paged.stats();
+            let mut bytes = 0;
+            for c in pick_cells(opt.graph().last_def.keys().copied(), 25) {
+                let q = Criterion::CellLastDef(c);
+                let (want, o) = opt.slice_with_stats(&q).unwrap();
+                let (got, p) = Slicer::slice_with_stats(&paged, &q).unwrap();
+                assert_eq!(want.stmts, got.stmts, "{}: {q:?}", w.name);
+                assert_eq!(
+                    (o.instances_visited, o.shortcut_hits, o.shortcuts_materialized),
+                    (p.instances_visited, p.shortcut_hits, p.shortcuts_materialized),
+                    "{}: {q:?} shortcuts {shortcuts}",
+                    w.name
+                );
+                assert!(o.instances_visited > 0);
+                if !shortcuts {
+                    assert_eq!(p.shortcut_hits + p.shortcuts_materialized, 0);
+                }
+                bytes += p.bytes_read;
+            }
+            // Each query reports its own reads; together they are all of them.
+            assert_eq!(bytes, (paged.stats() - before).bytes_read, "{}", w.name);
+        }
+    }
 }
