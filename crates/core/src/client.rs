@@ -284,7 +284,12 @@ impl SliceClient {
     /// Socket I/O failures, a closed connection, or an unparseable
     /// response line.
     pub fn roundtrip(&mut self, request: &Request) -> io::Result<Response> {
-        writeln!(self.writer, "{}", request.to_json())?;
+        // One write for the whole line: a server that answers `busy` and
+        // closes at once resets the connection when our bytes reach it,
+        // and a second write would fail before the `busy` line is read.
+        let mut line = request.to_json();
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {

@@ -27,8 +27,12 @@
 //!   never an unbounded buffer. Request lines are length-capped on every
 //!   transport (a too-long line is a typed `oversized` error, the rest of
 //!   the line is discarded in bounded memory, and the connection keeps
-//!   serving), and socket reads run on a short timeout tick so idle
-//!   connections can be reaped and shutdown is observed promptly.
+//!   serving). Socket reads block until a line arrives: with
+//!   `--idle-timeout-ms` every read, even one partway through a line, is
+//!   bounded by the time left until the idle deadline (no complete line
+//!   for that long reaps the connection), and at shutdown the supervisor
+//!   shuts the read side of every live connection, so no reader waits on
+//!   a timer tick.
 //! * **Handshake**: TCP connections must open with
 //!   `{"op":"hello","proto":1}` — the server answers with its supported
 //!   protocol range and identity; any other first line is a typed
@@ -57,21 +61,31 @@
 //! * **Errors are isolated per request**: a malformed line, unknown
 //!   criterion, unknown session, rejected load, truncated LP slice, or
 //!   I/O failure fails that request only — the server keeps serving.
+//! * **Supervisor**: blocks on one end of a socket pair until something
+//!   writes a byte to the other — the SIGTERM handler (one
+//!   async-signal-safe `write(2)`), the `shutdown` op, or the last reader
+//!   to exit. Nothing in the server polls on a timer.
 //! * **Shutdown** is graceful on stdin EOF, SIGTERM, or a protocol
-//!   `{"op":"shutdown"}`: the listeners stop accepting, the queue closes,
-//!   already-accepted jobs drain, TCP connections get a final
+//!   `{"op":"shutdown"}`: the supervisor dials each listener once so its
+//!   blocked `accept` returns (the acceptor drops that connection
+//!   uncounted and exits), shuts the read side of every
+//!   live connection so its reader wakes at once, closes the queue, and
+//!   lets already-accepted jobs drain. TCP connections get a final
 //!   `shutting_down` error line before the close (instead of a silently
-//!   dropped socket), and the caller gets a [`ServeSummary`] to fold into
-//!   the final metrics report.
+//!   dropped socket); [`serve`] returns only after the readers it woke
+//!   have said their farewells, and the caller gets a [`ServeSummary`]
+//!   to fold into the final metrics report.
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dynslice_obs::{phases, Registry};
@@ -91,9 +105,11 @@ fn server_identity() -> String {
     format!("dynslice/{}", env!("CARGO_PKG_VERSION"))
 }
 
-/// How often a socket read wakes up empty-handed to check for shutdown
-/// and the idle deadline.
-const READ_TICK: Duration = Duration::from_millis(50);
+/// How long [`serve`] waits, after the queue drains, for the readers it
+/// woke to send their farewells and exit. They normally take
+/// microseconds; the cap only matters for a reader stuck writing to a
+/// client that stopped reading, which is then left behind.
+const READER_DRAIN_LIMIT: Duration = Duration::from_secs(2);
 
 /// How the server talks to its clients.
 #[derive(Debug)]
@@ -494,11 +510,18 @@ struct Shared {
     /// answered by detached reader threads that cannot borrow the scoped
     /// manager, so they read these instead.
     gauges: Arc<SessionGauges>,
+    /// The supervisor's doorbell.
+    waker: Waker,
+    /// Every live socket connection by id — a handle on the same socket
+    /// its reader blocks on, so shutdown can end that read.
+    live: Mutex<HashMap<u64, Conn>>,
+    /// Signalled when `live` empties.
+    live_drained: Condvar,
 }
 
 impl Shared {
-    fn new(config: &ServeConfig, gauges: Arc<SessionGauges>) -> Self {
-        Shared {
+    fn new(config: &ServeConfig, gauges: Arc<SessionGauges>) -> io::Result<Self> {
+        Ok(Shared {
             queue: Queue::new(config.queue_depth),
             loads: Queue::new(config.queue_depth),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
@@ -530,7 +553,66 @@ impl Shared {
             loads_peak: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             gauges,
+            waker: Waker::new()?,
+            live: Mutex::new(HashMap::new()),
+            live_drained: Condvar::new(),
+        })
+    }
+
+    /// Starts a graceful shutdown and wakes the supervisor to run it.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
+
+    /// Counts one reader (a connection, the stdio stream, or an acceptor)
+    /// out; the last one wakes the supervisor, since every transport has
+    /// then ended.
+    fn reader_exit(&self) {
+        if self.readers_active.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.waker.wake();
         }
+    }
+
+    /// The live-connection registry lock, recovering from poisoning:
+    /// nothing under it can panic mid-update of the map.
+    fn live(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Conn>> {
+        self.live.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Registers a live connection. The shutdown flag is read under the
+    /// registry lock, which [`Self::wake_readers`] also takes after
+    /// setting it: a connection registered after that sweep ends its own
+    /// read side here, so no reader is ever left blocked.
+    fn register(&self, id: u64, conn: Conn) {
+        let mut live = self.live();
+        if self.shutdown.load(Ordering::SeqCst) {
+            conn.shutdown_read();
+        }
+        live.insert(id, conn);
+    }
+
+    /// Drops a connection's registry entry as its reader exits.
+    fn unregister(&self, id: u64) {
+        let mut live = self.live();
+        live.remove(&id);
+        if live.is_empty() {
+            self.live_drained.notify_all();
+        }
+    }
+
+    /// Shuts the read side of every live connection: each blocked reader
+    /// sees EOF at once, notices the shutdown, and says its farewell.
+    fn wake_readers(&self) {
+        for conn in self.live().values() {
+            conn.shutdown_read();
+        }
+    }
+
+    /// Waits until every connection reader has exited, or `limit` passes.
+    fn await_readers(&self, limit: Duration) {
+        let live = self.live();
+        let _ = self.live_drained.wait_timeout_while(live, limit, |live| !live.is_empty());
     }
 
     /// Builds the `health` reply: liveness plus the coarse counts a
@@ -602,11 +684,66 @@ impl Shared {
     }
 }
 
-/// Set by the raw SIGTERM handler; polled by the supervisor loop.
+/// The supervisor's doorbell: a socket pair whose read end the
+/// supervisor blocks on and whose write end anyone may ring — threads
+/// through [`Waker::wake`], the SIGTERM handler through the raw fd in
+/// [`WAKE_FD`]. A ring before the supervisor blocks stays buffered, so no
+/// wake is lost between its checks and its read.
+struct Waker {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl Waker {
+    fn new() -> io::Result<Self> {
+        let (rx, tx) = UnixStream::pair()?;
+        // A full buffer already holds a pending wake, so ringing must
+        // never block — least of all inside the signal handler.
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
+    }
+
+    fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Blocks until at least one ring, consuming any that piled up.
+    fn wait(&self) {
+        let mut rings = [0u8; 64];
+        loop {
+            match (&self.rx).read(&mut rings) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => return,
+            }
+        }
+    }
+}
+
+/// Set by the raw SIGTERM handler; checked by the supervisor each time it
+/// wakes.
 static SIGTERM_RECEIVED: AtomicBool = AtomicBool::new(false);
 
+/// The running server's [`Waker`] write end (`-1` when none): the only
+/// wake the SIGTERM handler can ring. [`serve`] sets and clears it.
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
 extern "C" fn on_sigterm(_signum: i32) {
+    extern "C" {
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
     SIGTERM_RECEIVED.store(true, Ordering::SeqCst);
+    let fd = WAKE_FD.load(Ordering::SeqCst);
+    if fd >= 0 {
+        // SAFETY: `write(2)` is async-signal-safe and reads one byte from
+        // a live one-byte array; no Rust object is touched. The fd is the
+        // running server's non-blocking write end, so the call can fail
+        // but never block. (`serve` clears the fd before the pair closes;
+        // a signal landing in that same instant can at worst write one
+        // byte to a reused descriptor number, never into memory.)
+        unsafe {
+            write(fd, [1u8].as_ptr(), 1);
+        }
+    }
 }
 
 /// Installs the SIGTERM flag handler via the C library's `signal(2)`,
@@ -681,8 +818,7 @@ enum LineRead {
     /// The line under construction blew the length cap; it has been
     /// dropped and its remaining bytes will be discarded as they arrive.
     Oversized,
-    /// The read timed out with no complete line — the caller's chance to
-    /// check shutdown and the idle deadline.
+    /// The idle deadline passed with no complete line.
     Idle,
     /// The peer closed the connection (or the read failed terminally).
     Eof,
@@ -695,9 +831,13 @@ enum LineRead {
 /// most `max` bytes of one line are ever retained — when a line exceeds
 /// the cap it is reported [`LineRead::Oversized`] once and the overflow
 /// is discarded chunk by chunk until its newline arrives, after which the
-/// stream is back in sync. Socket streams run with a read timeout, which
-/// surfaces as [`LineRead::Idle`].
-struct LineReader<R: Read> {
+/// stream is back in sync.
+///
+/// With an idle limit, every read waits only as long as the limit allows
+/// since the last line handed out, so a client that trickles bytes but
+/// never finishes a line is reaped as surely as a silent one; the
+/// deadline passing surfaces as [`LineRead::Idle`].
+struct LineReader<'a, R: Read> {
     inner: R,
     pending: Vec<u8>,
     chunk: [u8; 4096],
@@ -705,14 +845,40 @@ struct LineReader<R: Read> {
     discarding: bool,
     /// The server-wide read-bytes counter (`net.read_bytes`).
     read_bytes: Arc<AtomicU64>,
+    /// The idle limit and the socket whose read timeout enforces it.
+    idle: Option<(&'a Conn, Duration)>,
+    /// When the idle clock last restarted: construction or the last line.
+    since: Instant,
 }
 
-impl<R: Read> LineReader<R> {
-    fn new(inner: R, max: usize, read_bytes: Arc<AtomicU64>) -> Self {
-        LineReader { inner, pending: Vec::new(), chunk: [0; 4096], max, discarding: false, read_bytes }
+impl<'a, R: Read> LineReader<'a, R> {
+    fn new(
+        inner: R,
+        max: usize,
+        read_bytes: Arc<AtomicU64>,
+        idle: Option<(&'a Conn, Duration)>,
+    ) -> Self {
+        LineReader {
+            inner,
+            pending: Vec::new(),
+            chunk: [0; 4096],
+            max,
+            discarding: false,
+            read_bytes,
+            idle,
+            since: Instant::now(),
+        }
     }
 
     fn next_line(&mut self) -> LineRead {
+        let line = self.scan();
+        if !matches!(line, LineRead::Idle | LineRead::Eof) {
+            self.since = Instant::now();
+        }
+        line
+    }
+
+    fn scan(&mut self) -> LineRead {
         loop {
             let newline = self.pending.iter().position(|b| *b == b'\n');
             if self.discarding {
@@ -744,21 +910,85 @@ impl<R: Read> LineReader<R> {
                 self.discarding = true;
                 return LineRead::Oversized;
             }
+            if let Some((conn, limit)) = self.idle {
+                let left = limit.saturating_sub(self.since.elapsed());
+                if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+                    return LineRead::Idle;
+                }
+            }
             match self.inner.read(&mut self.chunk) {
                 Ok(0) => return LineRead::Eof,
                 Ok(n) => {
                     self.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
                     self.pending.extend_from_slice(&self.chunk[..n]);
                 }
+                // A timed-out read loops back to the deadline check.
                 Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return LineRead::Idle
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
                 Err(_) => return LineRead::Eof,
             }
+        }
+    }
+}
+
+/// An accepted socket of either family.
+enum Conn {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+impl Conn {
+    fn try_clone(&self) -> io::Result<Conn> {
+        Ok(match self {
+            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
+            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
+        })
+    }
+
+    /// Bounds each following read; `None` blocks until data or EOF.
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.set_read_timeout(timeout),
+            Conn::Tcp(s) => s.set_read_timeout(timeout),
+        }
+    }
+
+    /// Ends the socket's read side: a reader blocked on it (through any
+    /// handle) sees EOF at once. Replies can still be written.
+    fn shutdown_read(&self) {
+        let _ = match self {
+            Conn::Unix(s) => s.shutdown(Shutdown::Read),
+            Conn::Tcp(s) => s.shutdown(Shutdown::Read),
+        };
+    }
+}
+
+impl Read for &Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match *self {
+            Conn::Unix(s) => (&mut &*s).read(buf),
+            Conn::Tcp(s) => (&mut &*s).read(buf),
+        }
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Conn::Unix(s) => s.write(buf),
+            Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.flush(),
+            Conn::Tcp(s) => s.flush(),
         }
     }
 }
@@ -771,37 +1001,40 @@ struct ConnPolicy {
     /// On graceful shutdown, send a final `shutting_down` error line
     /// before closing instead of silently dropping the socket (TCP).
     farewell: bool,
-    /// Reap the connection after this long without a complete line
-    /// (socket transports; stdio blocks forever as it always did).
-    idle: Option<Duration>,
     /// Connection id for lease accounting (0 = stdio).
     conn: u64,
 }
 
 /// Parses request lines from `input`, answering protocol errors inline
 /// and queueing well-formed jobs. Returns at EOF, on a read error, when
-/// the connection idles out, or once shutdown is underway.
-fn serve_connection(input: impl Read, sink: &Arc<Sink>, shared: &Shared, policy: &ConnPolicy) {
+/// the connection idles out, or once shutdown is underway (the supervisor
+/// ends the read side of every live connection, which surfaces as EOF).
+///
+/// `idle` reaps the connection after that long without a complete line,
+/// enforced through the socket's read timeout (socket transports; stdio
+/// passes `None` and blocks forever as it always did).
+fn serve_connection(
+    input: impl Read,
+    idle: Option<(&Conn, Duration)>,
+    sink: &Arc<Sink>,
+    shared: &Shared,
+    policy: &ConnPolicy,
+) {
     let mut lines =
-        LineReader::new(input, shared.max_line_bytes, Arc::clone(&shared.net_read));
+        LineReader::new(input, shared.max_line_bytes, Arc::clone(&shared.net_read), idle);
     let mut handshaken = !policy.require_hello;
-    let mut last_activity = Instant::now();
     // Set when this very connection sent the `shutdown` op: it already
     // got the ack, so it does not also get the farewell.
     let mut own_shutdown = false;
     loop {
         match lines.next_line() {
-            LineRead::Eof => return,
-            LineRead::Idle => {
+            LineRead::Eof | LineRead::Idle => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                if policy.idle.is_some_and(|limit| last_activity.elapsed() >= limit) {
-                    return;
-                }
+                return;
             }
             LineRead::Oversized => {
-                last_activity = Instant::now();
                 shared.received.fetch_add(1, Ordering::Relaxed);
                 sink.send(&shared.error(
                     0,
@@ -810,7 +1043,6 @@ fn serve_connection(input: impl Read, sink: &Arc<Sink>, shared: &Shared, policy:
                 ));
             }
             LineRead::Line(line) => {
-                last_activity = Instant::now();
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -881,7 +1113,7 @@ fn serve_connection(input: impl Read, sink: &Arc<Sink>, shared: &Shared, policy:
                 }
                 if request.op == Op::Shutdown {
                     sink.send(&Response { id: request.id, body: ResponseBody::ShutdownAck });
-                    shared.shutdown.store(true, Ordering::SeqCst);
+                    shared.request_shutdown();
                     own_shutdown = true;
                     break;
                 }
@@ -1035,9 +1267,10 @@ enum Checkout {
 }
 
 /// Resolves a session name to a lease, honoring the request's `wait`
-/// flag against a session that is still building. The resident check
-/// always runs again after the loading check: an async build may be
-/// admitted between the two, and that race must look like `Ready`,
+/// flag against a session that is still building (a waiter sleeps until
+/// the build's registration clears or the deadline passes). The resident
+/// check always runs again after the loading check: an async build may
+/// be admitted between the two, and that race must look like `Ready`,
 /// never like `Missing`.
 fn checkout_session(
     manager: &SessionManager,
@@ -1059,10 +1292,9 @@ fn checkout_session(
         if !wait {
             return Checkout::Loading;
         }
-        if expired(deadline) {
+        if manager.wait_while_loading(name, deadline) {
             return Checkout::TimedOut;
         }
-        thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -1304,95 +1536,117 @@ enum AnyListener {
 }
 
 impl AnyListener {
-    fn set_nonblocking(&self) -> io::Result<()> {
+    /// Blocks for the next connection.
+    fn accept(&self) -> io::Result<Conn> {
         match self {
-            AnyListener::Unix(l) => l.set_nonblocking(true),
-            AnyListener::Tcp(l) => l.set_nonblocking(true),
+            AnyListener::Unix(l) => Ok(Conn::Unix(l.accept()?.0)),
+            AnyListener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                let _ = stream.set_nodelay(true);
+                Ok(Conn::Tcp(stream))
+            }
         }
     }
 
-    /// Accepts one connection and prepares it for service: blocking
-    /// reads with the [`READ_TICK`] timeout, split into a reader half
-    /// and a writer half.
-    #[allow(clippy::type_complexity)]
-    fn accept(&self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+    /// Dials this listener once and hangs up, waking an acceptor blocked
+    /// in [`accept`](Self::accept); whether the dial got through. A TCP
+    /// listener is reached at its bound address, with an unspecified IP
+    /// mapped to loopback.
+    fn wake(&self) -> bool {
         match self {
-            AnyListener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(READ_TICK))?;
-                let reader = stream.try_clone()?;
-                Ok((Box::new(reader), Box::new(stream)))
-            }
+            AnyListener::Unix(l) => l
+                .local_addr()
+                .ok()
+                .and_then(|addr| addr.as_pathname().map(UnixStream::connect))
+                .is_some_and(|dial| dial.is_ok()),
             AnyListener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(READ_TICK))?;
-                let _ = stream.set_nodelay(true);
-                let reader = stream.try_clone()?;
-                Ok((Box::new(reader), Box::new(stream)))
+                let Ok(mut addr) = l.local_addr() else { return false };
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
             }
         }
     }
 }
 
+/// Claims one slot of the connection cap (`0` = uncapped) in a single
+/// atomic step, so acceptors on different listeners can never both admit
+/// the last slot. Returns the new open count, or `None` at the cap.
+fn admit(open: &AtomicU64, cap: usize) -> Option<u64> {
+    open.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+        (cap == 0 || n < cap as u64).then_some(n + 1)
+    })
+    .ok()
+    .map(|n| n + 1)
+}
+
 /// Accepts connections until shutdown, enforcing the connection cap and
 /// spawning one detached reader thread per admitted connection.
 fn acceptor_loop(
-    listener: AnyListener,
+    listener: &AnyListener,
     require_hello: bool,
     farewell: bool,
     shared: Arc<Shared>,
 ) {
-    if let Err(e) = listener.set_nonblocking() {
-        // Without non-blocking accepts the loop could never interleave
-        // shutdown checks; abandon the transport, not the process.
-        eprintln!("[serve] listener abandoned: set_nonblocking failed: {e}");
-        shared.readers_active.fetch_sub(1, Ordering::SeqCst);
-        return;
-    }
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((reader, writer)) => {
-                let sink = Sink::new(writer, Arc::clone(&shared.net_write));
-                let open = shared.open_connections.load(Ordering::Relaxed);
-                if shared.max_connections > 0 && open >= shared.max_connections as u64 {
-                    // Typed rejection, then drop: the client learns it
-                    // should back off instead of staring at a dead socket.
-                    sink.send(&shared.error(
-                        0,
-                        ErrorKind::Busy,
-                        format!(
-                            "server is at its connection limit ({})",
-                            shared.max_connections
-                        ),
-                    ));
-                    continue;
-                }
-                let conn = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
-                let open = shared.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
-                shared.connections_peak.fetch_max(open, Ordering::Relaxed);
-                shared.readers_active.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || {
-                    let policy = ConnPolicy {
-                        require_hello,
-                        farewell,
-                        idle: shared.idle_timeout,
-                        conn,
-                    };
-                    serve_connection(reader, &sink, &shared, &policy);
-                    shared.open_connections.fetch_sub(1, Ordering::Relaxed);
-                    shared.readers_active.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+    loop {
+        let accepted = listener.accept();
+        // At shutdown the supervisor's wake dial (or a client racing it)
+        // lands here: drop it uncounted and stop accepting.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        let conn = match accepted {
+            Ok(conn) => conn,
+            // The peer gave up before the accept, or a signal landed:
+            // nothing is wrong with the listener.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
+            Err(e) => {
+                eprintln!("[serve] listener closed: accept failed: {e}");
+                break;
+            }
+        };
+        // Three handles on one socket: the reader's, the reply sink's,
+        // and the registry's (so shutdown can end the read).
+        let (Ok(writer), Ok(handle)) = (conn.try_clone(), conn.try_clone()) else {
+            continue;
+        };
+        let sink = Sink::new(Box::new(writer), Arc::clone(&shared.net_write));
+        let Some(open) = admit(&shared.open_connections, shared.max_connections) else {
+            // Typed rejection, then drop: the client learns it should
+            // back off instead of staring at a dead socket.
+            sink.send(&shared.error(
+                0,
+                ErrorKind::Busy,
+                format!("server is at its connection limit ({})", shared.max_connections),
+            ));
+            continue;
+        };
+        let id = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
+        shared.connections_peak.fetch_max(open, Ordering::Relaxed);
+        shared.readers_active.fetch_add(1, Ordering::SeqCst);
+        shared.register(id, handle);
+        let shared = Arc::clone(&shared);
+        thread::spawn(move || {
+            let policy = ConnPolicy { require_hello, farewell, conn: id };
+            let idle = shared.idle_timeout.map(|limit| (&conn, limit));
+            serve_connection(&conn, idle, &sink, &shared, &policy);
+            shared.open_connections.fetch_sub(1, Ordering::SeqCst);
+            shared.unregister(id);
+            shared.reader_exit();
+        });
     }
-    shared.readers_active.fetch_sub(1, Ordering::SeqCst);
+    shared.reader_exit();
 }
 
 /// Runs the slice service until its transports end (stdin EOF, every
@@ -1413,8 +1667,8 @@ fn acceptor_loop(
 /// fold [`SessionManager::final_reports`] into their run report.
 ///
 /// # Errors
-/// Infallible today (transport errors end the affected connection instead
-/// of the session); `io::Result` leaves room for bind-time failures.
+/// Fails only if the supervisor's wake socket pair cannot be created;
+/// transport errors end the affected connection, not the session.
 pub fn serve<S: Slicer + ?Sized>(
     slicer: &S,
     manager: &SessionManager,
@@ -1423,9 +1677,11 @@ pub fn serve<S: Slicer + ?Sized>(
     reg: &Registry,
 ) -> io::Result<ServeSummary> {
     let start = Instant::now();
+    let shared = Arc::new(Shared::new(config, manager.gauges())?);
+    let wake_fd = shared.waker.tx.as_raw_fd();
+    WAKE_FD.store(wake_fd, Ordering::SeqCst);
     SIGTERM_RECEIVED.store(false, Ordering::SeqCst);
     install_sigterm_handler();
-    let shared = Arc::new(Shared::new(config, manager.gauges()));
     let transports = if transports.is_empty() { vec![Transport::Stdio] } else { transports };
     let socket_paths: Vec<PathBuf> = transports
         .iter()
@@ -1434,6 +1690,10 @@ pub fn serve<S: Slicer + ?Sized>(
             _ => None,
         })
         .collect();
+    // Each acceptor with the listener it shares, kept here to wake it;
+    // joined once woken, so every listener is closed by the time `serve`
+    // returns.
+    let mut acceptors: Vec<(JoinHandle<()>, Arc<AnyListener>)> = Vec::new();
 
     thread::scope(|scope| {
         let mut workers = Vec::new();
@@ -1446,55 +1706,57 @@ pub fn serve<S: Slicer + ?Sized>(
             scope.spawn(move || loader_loop(manager, shared, reg));
         }
 
-        // Readers block on I/O that no signal reliably interrupts, so they
-        // run detached with `'static` state and are simply abandoned at
-        // process exit if a connection never closes.
+        // Readers and acceptors run detached with `'static` state: the
+        // stdio reader blocks on stdin, which nothing can interrupt, and
+        // is abandoned at process exit. Socket readers and acceptors are
+        // woken at shutdown.
         for transport in transports {
             shared.readers_active.fetch_add(1, Ordering::SeqCst);
-            match transport {
+            let shared = Arc::clone(&shared);
+            let (listener, tcp) = match transport {
                 Transport::Stdio => {
-                    let shared = Arc::clone(&shared);
                     let sink = Sink::new(Box::new(io::stdout()), Arc::clone(&shared.net_write));
                     thread::spawn(move || {
-                        let policy = ConnPolicy {
-                            require_hello: false,
-                            farewell: false,
-                            idle: None,
-                            conn: 0,
-                        };
-                        serve_connection(io::stdin().lock(), &sink, &shared, &policy);
-                        shared.readers_active.fetch_sub(1, Ordering::SeqCst);
+                        let policy =
+                            ConnPolicy { require_hello: false, farewell: false, conn: 0 };
+                        serve_connection(io::stdin().lock(), None, &sink, &shared, &policy);
+                        shared.reader_exit();
                     });
+                    continue;
                 }
-                Transport::Unix(listener, _) => {
-                    let shared = Arc::clone(&shared);
-                    thread::spawn(move || {
-                        acceptor_loop(AnyListener::Unix(listener), false, false, shared)
-                    });
-                }
-                Transport::Tcp(listener) => {
-                    let shared = Arc::clone(&shared);
-                    thread::spawn(move || {
-                        acceptor_loop(AnyListener::Tcp(listener), true, true, shared)
-                    });
-                }
-            }
+                Transport::Unix(listener, _) => (AnyListener::Unix(listener), false),
+                Transport::Tcp(listener) => (AnyListener::Tcp(listener), true),
+            };
+            // TCP demands the handshake and says farewell; Unix does neither.
+            let listener = Arc::new(listener);
+            let accepting = Arc::clone(&listener);
+            let acceptor = thread::spawn(move || acceptor_loop(&accepting, tcp, tcp, shared));
+            acceptors.push((acceptor, listener));
         }
 
-        // Supervisor: wait for a shutdown cause, then close the queue so
-        // workers drain what was accepted and exit the scope.
+        // Supervisor: sleep until something rings — SIGTERM, the
+        // `shutdown` op, or the last reader leaving (stdin EOF) — then
+        // recheck every cause. A ring that lands between the checks and
+        // the wait stays buffered, so the wait returns at once.
         loop {
-            thread::sleep(Duration::from_millis(10));
             if SIGTERM_RECEIVED.load(Ordering::SeqCst) {
                 shared.shutdown.store(true, Ordering::SeqCst);
             }
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.shutdown.load(Ordering::SeqCst)
+                || shared.readers_active.load(Ordering::SeqCst) == 0
+            {
                 break;
             }
-            if shared.readers_active.load(Ordering::SeqCst) == 0 {
-                break; // stdin EOF, or every connection closed after shutdown
-            }
+            shared.waker.wait();
         }
+        // Stop admitting (each acceptor wakes, sees the flag, and drops
+        // the dial), then end every live connection's read so its reader
+        // says its farewell now rather than at its next request.
+        shared.shutdown.store(true, Ordering::SeqCst);
+        // An acceptor the dial cannot reach may stay blocked in `accept`:
+        // it is never joined.
+        acceptors.retain(|(_, listener)| listener.wake());
+        shared.wake_readers();
         // Draining workers may still enqueue loads, so the load queue
         // closes only after every worker has exited — then the loaders
         // drain what was accepted and the scope join completes.
@@ -1504,6 +1766,11 @@ pub fn serve<S: Slicer + ?Sized>(
         }
         shared.loads.close();
     });
+    shared.await_readers(READER_DRAIN_LIMIT);
+    for (acceptor, _listener) in acceptors {
+        let _ = acceptor.join();
+    }
+    let _ = WAKE_FD.compare_exchange(wake_fd, -1, Ordering::SeqCst, Ordering::SeqCst);
 
     for path in socket_paths {
         let _ = std::fs::remove_file(path);
@@ -1560,8 +1827,8 @@ mod tests {
         assert_eq!(peak.load(Ordering::Relaxed), 1);
     }
 
-    fn lines_over(input: &[u8], max: usize) -> LineReader<&[u8]> {
-        LineReader::new(input, max, Arc::new(AtomicU64::new(0)))
+    fn lines_over(input: &[u8], max: usize) -> LineReader<'static, &[u8]> {
+        LineReader::new(input, max, Arc::new(AtomicU64::new(0)), None)
     }
 
     /// The bounded reader: whole lines come out newline-stripped, CRLF
@@ -1612,7 +1879,7 @@ mod tests {
     fn line_reader_counts_bytes_and_survives_unterminated_garbage() {
         let counter = Arc::new(AtomicU64::new(0));
         let input: Vec<u8> = vec![b'z'; 9000];
-        let mut lines = LineReader::new(&input[..], 8, Arc::clone(&counter));
+        let mut lines = LineReader::new(&input[..], 8, Arc::clone(&counter), None);
         assert!(matches!(lines.next_line(), LineRead::Oversized));
         assert!(matches!(lines.next_line(), LineRead::Eof));
         assert_eq!(counter.load(Ordering::Relaxed), 9000);
@@ -1624,7 +1891,7 @@ mod tests {
     /// is the only check `list`/`unload` jobs ever get.
     #[test]
     fn finalize_converts_stale_ok_replies_to_timeouts() {
-        let shared = Shared::new(&ServeConfig::default(), Arc::default());
+        let shared = Shared::new(&ServeConfig::default(), Arc::default()).unwrap();
         shared.ok.fetch_add(1, Ordering::Relaxed); // as `answer` counted it
         let past = Some(Instant::now() - Duration::from_millis(1));
         let ok = Response { id: 7, body: ResponseBody::Sessions { sessions: Vec::new() } };
@@ -1652,6 +1919,60 @@ mod tests {
         let out = finalize(ok, 10, None, &shared);
         assert!(matches!(out.body, ResponseBody::ShutdownAck));
         assert_eq!(shared.ok.load(Ordering::Relaxed), 1);
+    }
+
+    /// The connection cap admits through one atomic step: slots are
+    /// granted up to the cap and refused at it, a freed slot is granted
+    /// again, and `0` means uncapped.
+    #[test]
+    fn admit_grants_slots_up_to_the_cap_and_no_further() {
+        let open = AtomicU64::new(0);
+        assert_eq!(admit(&open, 2), Some(1));
+        assert_eq!(admit(&open, 2), Some(2));
+        assert_eq!(admit(&open, 2), None, "at the cap");
+        assert_eq!(open.load(Ordering::SeqCst), 2, "a refusal claims nothing");
+        open.fetch_sub(1, Ordering::SeqCst);
+        assert_eq!(admit(&open, 2), Some(2), "a freed slot is granted again");
+        assert_eq!(admit(&open, 0), Some(3), "0 disables the cap");
+
+        // Two acceptors racing for the last slot: exactly one wins.
+        for _ in 0..200 {
+            let open = AtomicU64::new(4);
+            let barrier = std::sync::Barrier::new(2);
+            let won: usize = thread::scope(|scope| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            usize::from(admit(&open, 5).is_some())
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).sum()
+            });
+            assert_eq!(won, 1);
+            assert_eq!(open.load(Ordering::SeqCst), 5);
+        }
+    }
+
+    /// A ring before the supervisor waits is kept, several rings are
+    /// consumed by one wait, and a wait blocks until the next ring.
+    #[test]
+    fn waker_keeps_early_rings_and_blocks_until_the_next() {
+        let waker = Waker::new().unwrap();
+        waker.wake();
+        waker.wake();
+        waker.wait(); // returns at once: the rings were buffered
+        let rung = AtomicBool::new(false);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                waker.wait();
+                assert!(rung.load(Ordering::SeqCst), "woke before the ring");
+            });
+            thread::sleep(Duration::from_millis(50));
+            rung.store(true, Ordering::SeqCst);
+            waker.wake();
+        });
     }
 
     #[test]

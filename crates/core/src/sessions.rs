@@ -33,7 +33,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 use dynslice_graph::snapshot::{self, Snapshot, SnapshotError};
 use dynslice_graph::{build_compact, build_compact_parallel, CompactGraph};
@@ -529,6 +530,10 @@ pub struct SessionManager {
     /// before replaying a trace, and populate it after a cold build.
     snapshot_dir: Option<PathBuf>,
     inner: Mutex<ManagerInner>,
+    /// Signalled whenever a loading registration clears (admission,
+    /// [`Self::end_load`], a dropped [`LoadGuard`]), waking
+    /// [`Self::wait_while_loading`].
+    load_cleared: Condvar,
     gauges: Arc<SessionGauges>,
     loaded: AtomicU64,
     evicted: AtomicU64,
@@ -570,6 +575,7 @@ impl SessionManager {
                 panics: BTreeMap::new(),
                 quarantined: BTreeMap::new(),
             }),
+            load_cleared: Condvar::new(),
             gauges: Arc::new(SessionGauges::default()),
             loaded: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -791,7 +797,9 @@ impl SessionManager {
         inner.sessions.insert(spec.name.clone(), Arc::clone(&entry));
         // An asynchronous load registered the name as pending; admitting
         // under the same lock makes the loading→resident handoff atomic.
-        inner.loading.remove(&spec.name);
+        if inner.loading.remove(&spec.name).is_some() {
+            self.load_cleared.notify_all();
+        }
         // A fresh load is the quarantine exit: the new backend starts
         // with a clean panic record.
         inner.quarantined.remove(&spec.name);
@@ -824,11 +832,37 @@ impl SessionManager {
         let mut inner = self.locked();
         inner.loading.remove(name);
         self.gauges.sync(&inner);
+        self.load_cleared.notify_all();
     }
 
     /// Whether an asynchronous load for `name` is still building.
     pub fn is_loading(&self, name: &str) -> bool {
         self.locked().loading.contains_key(name)
+    }
+
+    /// Blocks while an asynchronous load for `name` is still building,
+    /// until its registration clears or `deadline` passes (`None` waits
+    /// for the build however long it takes). Returns whether the name is
+    /// still loading — `true` only when the deadline cut the wait short.
+    pub(crate) fn wait_while_loading(&self, name: &str, deadline: Option<Instant>) -> bool {
+        let mut inner = self.locked();
+        while inner.loading.contains_key(name) {
+            inner = match deadline {
+                None => self.load_cleared.wait(inner).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return true;
+                    }
+                    let (inner, _) = self
+                        .load_cleared
+                        .wait_timeout(inner, left)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    inner
+                }
+            };
+        }
+        false
     }
 
     /// An RAII wrapper for the [`Self::begin_load`]/[`Self::end_load`]
@@ -1347,6 +1381,52 @@ mod tests {
         let listed = m.list();
         assert_eq!(listed.len(), 1);
         assert!(!listed[0].loading);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `wait` checkout sleeps until the name's loading registration
+    /// clears — by admission, by `end_load`, or by a dropped guard — and
+    /// gives up, still loading, at its deadline.
+    #[test]
+    fn wait_while_loading_wakes_when_the_registration_clears() {
+        use std::time::Duration;
+        let dir = scratch("wait-loading");
+        let program = write_program(&dir, "p.minic");
+        let m = manager(4, None, "wait-loading");
+        let reg = Registry::new();
+        assert!(!m.wait_while_loading("x", None), "nothing loading: no wait");
+
+        assert!(m.begin_load("x", None));
+        let started = Instant::now();
+        let cut = Some(started + Duration::from_millis(30));
+        assert!(m.wait_while_loading("x", cut), "the deadline ends the wait");
+        assert!(started.elapsed() >= Duration::from_millis(30));
+
+        let far = Some(Instant::now() + Duration::from_secs(30));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                m.end_load("x");
+            });
+            assert!(!m.wait_while_loading("x", far), "end_load wakes the waiter");
+        });
+        assert!(m.begin_load("x", None));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _guard = m.load_guard("x");
+                std::thread::sleep(Duration::from_millis(20));
+            });
+            assert!(!m.wait_while_loading("x", far), "a dropped guard wakes the waiter");
+        });
+        assert!(m.begin_load("x", None));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                m.load(&spec("x", &program), &reg).unwrap();
+            });
+            assert!(!m.wait_while_loading("x", None), "admission wakes the waiter");
+        });
+        assert!(m.checkout("x", 0).is_some(), "the woken waiter finds it resident");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,12 +5,16 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use dynslice::protocol::{ErrorKind, Request, Response, ResponseBody};
-use dynslice::{Criterion, OptConfig, RunReport, Session, SliceClient, Slicer as _};
+use dynslice::{
+    serve, Algo, Criterion, OptConfig, Registry, RunReport, ServeConfig, Session, SessionManager,
+    SliceClient, Slicer as _, SlicerConfig, Transport,
+};
 
 const PROGRAM: &str = "
     global int results[4];
@@ -1465,6 +1469,47 @@ fn tcp_idle_connections_are_reaped() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
+/// The idle limit counts complete lines, not bytes: a client that
+/// trickles one byte every 120 ms and never finishes its line is reaped
+/// once `--idle-timeout-ms` passes since its last line, however steadily
+/// the bytes keep coming.
+#[test]
+fn tcp_partial_line_trickle_is_reaped() {
+    let dir = work_dir("tcp-trickle");
+    let (child, addr) = spawn_tcp_server(&dir, &["--idle-timeout-ms", "300"]);
+
+    let mut trickler = RawTcp::connect(&addr);
+    trickler.hello();
+    let started = Instant::now();
+    let mut writer = trickler.writer.try_clone().unwrap();
+    // Bytes keep coming for up to 5 s, or until the server hangs up.
+    let dripping = std::thread::spawn(move || {
+        for _ in 0..40 {
+            if writer.write_all(b"{").is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(120));
+        }
+    });
+    // The reap closes the socket; a byte that lands just before the close
+    // may turn the FIN into a reset, which is the same hang-up.
+    let mut line = String::new();
+    match trickler.reader.read_line(&mut line) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the reap's hang-up, got {other:?} with {line:?}"),
+    }
+    let waited = started.elapsed();
+    assert!(waited >= Duration::from_millis(250), "reaped too early: {waited:?}");
+    assert!(waited < Duration::from_secs(3), "the trickle kept the connection alive: {waited:?}");
+    dripping.join().unwrap();
+
+    let mut closer = SliceClient::builder().tcp(addr).connect().unwrap();
+    assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
+    let out = wait_for_exit(child, Duration::from_secs(30));
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
+
 /// `--socket` and `--tcp` listen concurrently: the Unix side keeps the
 /// historical handshake-free wire format (exercised through the
 /// deprecated `connect_unix` shim), the TCP side demands hello, both
@@ -1525,4 +1570,129 @@ fn unix_and_tcp_serve_concurrently_with_unix_handshake_free() {
     assert_eq!(shared.counters["client_connections"], 2, "unix + tcp leased it");
     assert_eq!(shared.counters["leases"], 2, "one checkout per slice");
     assert!(shared.gauges["lease_peak"] >= 1.0);
+}
+
+// --- Wake-on-event accept and shutdown -------------------------------
+
+/// An idle, handshaked TCP client with no work in flight still gets the
+/// farewell when another client asks for shutdown: `shutting_down`, then
+/// EOF, and the server exits 0.
+#[test]
+fn idle_tcp_client_gets_the_farewell_on_shutdown() {
+    let dir = work_dir("tcp-idle-farewell");
+    let (child, addr) = spawn_tcp_server(&dir, &[]);
+
+    let mut idle = RawTcp::connect(&addr);
+    idle.hello();
+    let mut closer = SliceClient::builder().tcp(addr).connect().unwrap();
+    assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
+
+    match idle.read_response().expect("the farewell arrives before the close").body {
+        ResponseBody::Error { kind, .. } => assert_eq!(kind, ErrorKind::ShuttingDown),
+        other => panic!("idle client got {other:?}"),
+    }
+    assert!(idle.read_response().is_none(), "EOF follows the farewell");
+    let out = wait_for_exit(child, Duration::from_secs(30));
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// SIGTERM is a graceful shutdown: with an idle connection open the
+/// server exits 0 within 5 s, the connection gets the farewell, and the
+/// report it writes passes `metrics-validate`.
+#[test]
+fn sigterm_shuts_down_gracefully_with_a_valid_report() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    let dir = work_dir("sigterm");
+    let report = dir.join("report.json");
+    let (child, addr) = spawn_tcp_server(&dir, &["--metrics-json", report.to_str().unwrap()]);
+
+    // An answered hello proves `serve` runs, so its handler is installed.
+    let mut idle = RawTcp::connect(&addr);
+    idle.hello();
+    let pid = i32::try_from(child.id()).unwrap();
+    // SAFETY: `kill(2)` takes plain integers; the pid is our own child,
+    // not yet reaped, so it cannot name another process.
+    assert_eq!(unsafe { kill(pid, SIGTERM) }, 0);
+
+    match idle.read_response().expect("the farewell arrives before the close").body {
+        ResponseBody::Error { kind, .. } => assert_eq!(kind, ErrorKind::ShuttingDown),
+        other => panic!("idle client got {other:?}"),
+    }
+    assert!(idle.read_response().is_none(), "EOF follows the farewell");
+    let out = wait_for_exit(child, Duration::from_secs(5));
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let validated = bin().args(["metrics-validate", report.to_str().unwrap()]).output().unwrap();
+    assert!(validated.status.success(), "{}", String::from_utf8_lossy(&validated.stderr));
+    let parsed = RunReport::from_json(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    assert_eq!(parsed.counter_or_zero("server.connections"), 1, "the wake dial is not counted");
+    assert_eq!(parsed.counter_or_zero("server.handshakes"), 1);
+}
+
+/// When `serve` returns, its listeners are closed: the TCP port binds
+/// again and the Unix socket no longer accepts — checked through a hard
+/// link, which outlives the server's removal of the socket path — so no
+/// acceptor is left blocked holding one.
+#[test]
+fn serve_releases_its_listeners_when_it_returns() {
+    let dir = work_dir("release");
+    let socket = dir.join("release.sock");
+    let alias = dir.join("alias.sock");
+    std::fs::remove_file(&alias).ok();
+    let session = Session::compile(PROGRAM).unwrap();
+    let trace = session.run(INPUT_VALUES.to_vec());
+    let opt = session.opt(&trace, &OptConfig::default());
+    let manager = SessionManager::new(Algo::Opt, SlicerConfig::default(), 4, None, 16);
+    let tcp = Transport::tcp("127.0.0.1:0").unwrap();
+    let addr = tcp.local_addr().unwrap();
+    let unix = Transport::unix(socket.clone()).unwrap();
+    std::fs::hard_link(&socket, &alias).unwrap();
+    let reg = Registry::disabled();
+
+    std::thread::scope(|scope| {
+        let server =
+            scope.spawn(|| serve(&opt, &manager, &ServeConfig::default(), vec![tcp, unix], &reg));
+        // Both listeners serve; the Unix connection stays open (and idle)
+        // across the shutdown.
+        let _idle_unix = UnixStream::connect(&alias).expect("the alias reaches the listener");
+        let mut client = SliceClient::builder().tcp(addr.to_string()).connect().unwrap();
+        assert!(matches!(client.shutdown().unwrap().body, ResponseBody::ShutdownAck));
+        server.join().unwrap().expect("serve returns cleanly");
+    });
+
+    std::net::TcpListener::bind(addr).expect("the TCP port is free again");
+    let err = UnixStream::connect(&alias).expect_err("the Unix listener is closed");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+    drop(Transport::unix(socket).expect("the socket path binds again"));
+    std::fs::remove_file(&alias).ok();
+}
+
+/// One-shot clients are answered at once: 20 sequential dial → `hello`
+/// → close cycles have a median under 5 ms (an acceptor that sleeps
+/// between polls puts a 10 ms floor under each).
+#[test]
+fn one_shot_dials_are_answered_without_an_accept_delay() {
+    let dir = work_dir("oneshot");
+    let (child, addr) = spawn_tcp_server(&dir, &[]);
+
+    let mut cycles: Vec<Duration> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            let mut client = RawTcp::connect(&addr);
+            client.hello();
+            drop(client);
+            started.elapsed()
+        })
+        .collect();
+    cycles.sort();
+    let median = cycles[cycles.len() / 2];
+    assert!(median < Duration::from_millis(5), "median cycle {median:?}; all: {cycles:?}");
+
+    let mut closer = SliceClient::builder().tcp(addr).connect().unwrap();
+    assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
+    let out = wait_for_exit(child, Duration::from_secs(30));
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
