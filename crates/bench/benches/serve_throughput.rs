@@ -18,8 +18,8 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use dynslice::{
-    serve, Algo, Criterion, Registry, ServeConfig, SessionManager, SliceClient, Slicer,
-    SlicerConfig, Transport,
+    serve, Algo, Criterion, OwnedSlicer, Registry, ServeConfig, Session, SessionManager,
+    SliceClient, Slicer, SlicerConfig, Transport,
 };
 use dynslice_bench::*;
 
@@ -60,6 +60,14 @@ fn main() {
     for n in CLIENT_COUNTS {
         let manager =
             SessionManager::new(Algo::Opt, SlicerConfig::default(), 4, None, 128);
+        // A fresh default session per run, so every client count starts
+        // from a cold result cache.
+        let session =
+            Session { program: p.session.program.clone(), analysis: p.session.analysis.clone() };
+        let default = manager.default_entry(
+            OwnedSlicer::from_trace(session, &p.trace, Algo::Opt, &SlicerConfig::default(), &reg)
+                .expect("opt build is in-memory"),
+        );
         let config = ServeConfig { workers: 4, ..ServeConfig::default() };
         let transport = Transport::tcp("127.0.0.1:0").expect("bind ephemeral port");
         let addr = transport.local_addr().expect("tcp transport is bound").to_string();
@@ -68,10 +76,9 @@ fn main() {
         // timed window holds steady-state concurrency, not dial-up.
         let start_line = Arc::new(Barrier::new(n + 1));
 
-        let (summary, wall) = std::thread::scope(|scope| {
+        let wall = std::thread::scope(|scope| {
             let server = scope.spawn(|| {
-                serve(&slicer, &manager, &config, vec![transport], &reg)
-                    .expect("serve session")
+                serve(&default, &manager, &config, vec![transport], &reg).expect("serve session")
             });
             let clients: Vec<_> = (0..n)
                 .map(|_| {
@@ -116,21 +123,25 @@ fn main() {
             let mut closer =
                 SliceClient::builder().tcp(addr.clone()).connect().expect("closer connects");
             closer.shutdown().expect("shutdown ack");
-            (server.join().expect("server thread"), wall)
+            server.join().expect("server thread");
+            wall
         });
+        let counters = manager.server_counters();
+        let count = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let cache_hits = count(&counters.cache_hits);
+        let cache_misses = count(&counters.cache_misses);
 
         let total = (n * per_client) as u64;
         let qps = total as f64 / wall.as_secs_f64().max(1e-9);
         let latency = total_micros.load(Ordering::Relaxed) as f64 / total as f64;
-        let hit_rate = summary.cache_hits as f64
-            / (summary.cache_hits + summary.cache_misses).max(1) as f64;
-        assert_eq!(summary.connections, n as u64 + 1, "n clients + the closer");
-        assert_eq!(summary.handshakes, n as u64 + 1);
+        let hit_rate = cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64;
+        assert_eq!(count(&counters.connections), n as u64 + 1, "n clients + the closer");
+        assert_eq!(count(&counters.handshakes), n as u64 + 1);
 
         let row = format!("clients_{n}");
         report.counter(&row, "clients", n as u64);
         report.counter(&row, "queries", total);
-        report.counter(&row, "cache_hits", summary.cache_hits);
+        report.counter(&row, "cache_hits", cache_hits);
         report.gauge(&row, "wall_ms", wall.as_secs_f64() * 1e3);
         report.gauge(&row, "queries_per_sec", qps);
         report.gauge(&row, "mean_latency_us", latency);

@@ -74,14 +74,15 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use dynslice::criteria::{parse_cell, parse_output_index};
 use dynslice::protocol::ErrorKind;
 use dynslice::{
     phases, pick_cells, serve, Algo, BatchConfig, BatchResult, BatchSliceEngine, Cell, Criterion,
-    RecordMetrics, Registry, RunReport, ServeConfig, Session, SessionManager, SessionSpec,
-    SliceError, SlicerConfig, Slicer, StmtId, Transport,
+    OwnedSlicer, RecordMetrics, Registry, RunReport, ServeConfig, Session, SessionManager,
+    SessionSpec, SliceError, Slicer, SlicerConfig, StmtId, Transport,
 };
 
 fn main() -> ExitCode {
@@ -750,23 +751,14 @@ fn run() -> Result<(), CliError> {
             }
             let config = a.slicer_config();
             let graph = reg.time_phase(phases::GRAPH_BUILD, || {
-                if a.build_workers > 1 {
-                    dynslice::build_compact_parallel(
-                        &session.program,
-                        &session.analysis,
-                        &trace.events,
-                        &config.opt,
-                        a.build_workers,
-                        &reg,
-                    )
-                } else {
-                    dynslice::build_compact(
-                        &session.program,
-                        &session.analysis,
-                        &trace.events,
-                        &config.opt,
-                    )
-                }
+                dynslice::build_compact_parallel(
+                    &session.program,
+                    &session.analysis,
+                    &trace.events,
+                    &config.opt,
+                    a.build_workers,
+                    &reg,
+                )
             });
             let snap = dynslice::Snapshot {
                 source: src.clone(),
@@ -792,14 +784,13 @@ fn run() -> Result<(), CliError> {
                 eprintln!("[fault plan armed: {spec}]");
             }
             let algo = a.algo()?;
-            let slicer = session.build_slicer(algo, &trace, &a.slicer_config(), &reg)?;
-            slicer.record_build_metrics(&reg);
+            let slicer = OwnedSlicer::from_trace(session, &trace, algo, &a.slicer_config(), &reg)?;
+            slicer.slicer().record_build_metrics(&reg);
             let config = ServeConfig {
                 workers: a.workers.unwrap_or_else(|| ServeConfig::default().workers).max(1),
                 loaders: a.loaders,
                 timeout: a.timeout_ms.map(Duration::from_millis),
                 queue_depth: a.queue_depth,
-                cache_capacity: if a.cache { a.cache_capacity } else { 0 },
                 max_connections: a.max_connections,
                 idle_timeout: a.idle_timeout_ms.map(Duration::from_millis),
                 max_line_bytes: a.max_line_bytes,
@@ -810,8 +801,9 @@ fn run() -> Result<(), CliError> {
                 a.slicer_config(),
                 a.max_sessions,
                 budget,
-                config.cache_capacity,
+                if a.cache { a.cache_capacity } else { 0 },
             );
+            let default = manager.default_entry(slicer);
             if let Some(dir) = &a.snapshot_dir {
                 manager.set_snapshot_dir(dir);
                 eprintln!("[snapshot cache at {dir}]");
@@ -843,51 +835,51 @@ fn run() -> Result<(), CliError> {
             if transports.is_empty() {
                 endpoints.push("stdio".into());
             }
+            let algo_name = default.slicer().name();
             eprintln!(
-                "[serving {} slices on {} with {} workers]",
-                slicer.name(),
+                "[serving {algo_name} slices on {} with {} workers]",
                 endpoints.join(" + "),
                 config.workers,
             );
-            let summary = serve(&slicer, &manager, &config, transports, &reg)?;
-            slicer.record_query_metrics(&reg);
+            serve(&default, &manager, &config, transports, &reg)?;
+            default.slicer().record_query_metrics(&reg);
+            let c = manager.server_counters();
+            let n = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
             eprintln!(
                 "[serve: {} requests, {} ok ({} cached), {} timeouts, {} rejected, \
                  {} bad, {} failed; sessions: {} loaded, {} evicted, {} unloaded, \
                  {} quarantined]",
-                summary.received,
-                summary.ok,
-                summary.cache_hits,
-                summary.timeouts,
-                summary.rejected,
-                summary.bad_requests,
-                summary.failed,
-                summary.sessions_loaded,
-                summary.sessions_evicted,
-                summary.sessions_unloaded,
-                summary.sessions_quarantined,
+                n(&c.requests),
+                n(&c.responses_ok),
+                n(&c.cache_hits),
+                n(&c.timeouts),
+                n(&c.rejected),
+                n(&c.bad_requests),
+                n(&c.failed),
+                n(&c.sessions_loaded),
+                n(&c.sessions_evicted),
+                n(&c.sessions_unloaded),
+                n(&c.sessions_quarantined),
             );
-            if summary.panics > 0 || summary.retries > 0 {
-                eprintln!(
-                    "[faults: {} panics caught, {} reads retried]",
-                    summary.panics, summary.retries,
-                );
+            let retries = dynslice_faults::retries();
+            if n(&c.panics) > 0 || retries > 0 {
+                eprintln!("[faults: {} panics caught, {retries} reads retried]", n(&c.panics));
             }
             eprintln!(
                 "[net: {} connections (peak {}), {} handshakes, {} busy-rejected, \
                  {} oversized, {}/{} bytes in/out]",
-                summary.connections,
-                summary.connections_peak,
-                summary.handshakes,
-                summary.rejected_busy,
-                summary.oversized,
-                summary.read_bytes,
-                summary.write_bytes,
+                n(&c.connections),
+                n(&c.connections_peak),
+                n(&c.handshakes),
+                n(&c.rejected_busy),
+                n(&c.oversized),
+                n(&c.read_bytes),
+                n(&c.write_bytes),
             );
             emit_metrics_with_sessions(
                 &a,
                 &reg,
-                &format!("serve-{}", slicer.name()),
+                &format!("serve-{algo_name}"),
                 manager.final_reports(),
             )
         }

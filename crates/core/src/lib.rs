@@ -55,10 +55,9 @@ pub use dynslice_slicing::{
 pub use dynslice_workloads::{self as workloads, Workload};
 
 pub use client::{ClientBuilder, ServerInfo, SliceClient};
-pub use server::{serve, ServeConfig, ServeSummary, Transport};
+pub use server::{serve, ServeConfig, ServerCounters, Transport};
 pub use sessions::{
-    LoadError, OwnedSlicer, SessionCounters, SessionEntry, SessionLease, SessionManager,
-    SessionSpec, Unload,
+    LoadError, OwnedSlicer, SessionEntry, SessionLease, SessionManager, SessionSpec, Unload,
 };
 
 use std::io;
@@ -176,18 +175,14 @@ impl Session {
             Algo::Fp => AnySlicer::Fp(reg.time_phase(phases::GRAPH_BUILD, || self.fp(trace))),
             Algo::Opt => {
                 let mut opt = reg.time_phase(phases::GRAPH_BUILD, || {
-                    if config.build_workers > 1 {
-                        OptSlicer::build_parallel(
-                            &self.program,
-                            &self.analysis,
-                            &trace.events,
-                            &config.opt,
-                            config.build_workers,
-                            reg,
-                        )
-                    } else {
-                        self.opt(trace, &config.opt)
-                    }
+                    OptSlicer::build_parallel(
+                        &self.program,
+                        &self.analysis,
+                        &trace.events,
+                        &config.opt,
+                        config.build_workers,
+                        reg,
+                    )
                 });
                 opt.shortcuts = config.shortcuts;
                 AnySlicer::Opt(opt)
@@ -208,18 +203,14 @@ impl Session {
                 std::fs::create_dir_all(&config.scratch_dir)?;
                 let path = scratch_path(&config.scratch_dir, "spill", "pg");
                 let mut paged = reg.time_phase(phases::RECORD_PREPROCESS, || {
-                    let graph = if config.build_workers > 1 {
-                        dynslice_graph::build_compact_parallel(
-                            &self.program,
-                            &self.analysis,
-                            &trace.events,
-                            &config.opt,
-                            config.build_workers,
-                            reg,
-                        )
-                    } else {
-                        build_compact(&self.program, &self.analysis, &trace.events, &config.opt)
-                    };
+                    let graph = build_compact_parallel(
+                        &self.program,
+                        &self.analysis,
+                        &trace.events,
+                        &config.opt,
+                        config.build_workers,
+                        reg,
+                    );
                     PagedGraph::spill(graph, path, config.resident_blocks)
                 })?;
                 paged.shortcuts = config.shortcuts;

@@ -10,7 +10,7 @@
 //! ```text
 //! {"id":0,"op":"hello","proto":1}
 //! {"id":1,"criterion":"out:0"}
-//! {"id":2,"criterion":"cell:0:4","delay_ms":500}
+//! {"id":2,"criterion":"cell:0:4"}
 //! {"id":3,"op":"load","session":"t1","program":"a.minic","input":"4,5"}
 //! {"id":4,"criterion":"out:0","session":"t1"}
 //! {"id":5,"op":"list"}
@@ -33,9 +33,7 @@
 //! with `"wait":true`, blocks until the build resolves.
 //! `unload` drops a session; `list` enumerates resident sessions (and
 //! sessions still loading, marked `"state":"loading"`).
-//! `delay_ms` artificially delays the worker before it answers — a
-//! deterministic stand-in for an expensive query in timeout tests and
-//! latency experiments. `shutdown` asks the server to stop accepting
+//! `shutdown` asks the server to stop accepting
 //! requests, drain in-flight work, and exit (the protocol twin of
 //! EOF/SIGTERM).
 //!
@@ -139,8 +137,6 @@ pub struct Request {
     /// Backend algorithm for the loaded session ([`Op::Load`] only;
     /// absent = the server's default).
     pub algo: Option<String>,
-    /// Artificial pre-answer delay in milliseconds (testing/latency aid).
-    pub delay_ms: u64,
     /// Blocking variant selector: a `load` with `wait` builds inline and
     /// answers `loaded` (instead of the immediate `loading` ack); a
     /// `slice` with `wait` blocks on a still-loading session instead of
@@ -163,7 +159,6 @@ impl Request {
             snapshot: None,
             input: None,
             algo: None,
-            delay_ms: 0,
             wait: false,
             proto: None,
         }
@@ -280,9 +275,6 @@ impl Request {
                 if let Some(c) = &self.criterion {
                     obj.insert("criterion".into(), Value::Str(c.clone()));
                 }
-                if self.delay_ms > 0 {
-                    obj.insert("delay_ms".into(), Value::Num(self.delay_ms as f64));
-                }
                 if self.wait {
                     obj.insert("wait".into(), Value::Bool(true));
                 }
@@ -385,28 +377,12 @@ impl Request {
             }
             _ => {}
         }
-        let delay_ms = match obj.get("delay_ms") {
-            None => 0,
-            Some(v) => v.as_u64().ok_or("`delay_ms` must be an unsigned integer")?,
-        };
         let wait = match obj.get("wait") {
             None => false,
             Some(Value::Bool(b)) => *b,
             Some(_) => return Err("`wait` must be a boolean".into()),
         };
-        Ok(Request {
-            id,
-            op,
-            criterion,
-            session,
-            program,
-            snapshot,
-            input,
-            algo,
-            delay_ms,
-            wait,
-            proto,
-        })
+        Ok(Request { id, op, criterion, session, program, snapshot, input, algo, wait, proto })
     }
 }
 
@@ -957,7 +933,6 @@ mod tests {
         let reqs = [
             Request::slice(1, &Criterion::Output(0)),
             Request::slice(2, &Criterion::CellLastDef(Cell::new(3, 4))),
-            Request { delay_ms: 250, ..Request::slice(3, &Criterion::Output(1)) },
             Request::slice_in(4, "trace-a", &Criterion::Output(0)),
             Request::load(5, "trace-a", "/tmp/a.minic", &[1, -2, 3], Some("opt")),
             Request::load(6, "trace-b", "b.minic", &[], None),
@@ -980,7 +955,9 @@ mod tests {
 
     /// The `session` field (and the other load-only fields) are omitted
     /// when unset: a sessionless slice request is byte-for-byte what the
-    /// single-trace protocol produced.
+    /// single-trace protocol produced. A legacy line that still carries
+    /// the retired `delay_ms` field parses, the field ignored like any
+    /// other unknown key.
     #[test]
     fn sessionless_requests_keep_the_legacy_wire_format() {
         assert_eq!(
@@ -988,8 +965,8 @@ mod tests {
             r#"{"criterion":"out:0","id":1}"#,
         );
         assert_eq!(
-            Request { delay_ms: 250, ..Request::slice(3, &Criterion::Output(1)) }.to_json(),
-            r#"{"criterion":"out:1","delay_ms":250,"id":3}"#,
+            Request::parse(r#"{"criterion":"out:1","delay_ms":500,"id":3}"#).unwrap(),
+            Request::slice(3, &Criterion::Output(1)),
         );
         assert_eq!(Request::shutdown(9).to_json(), r#"{"id":9,"op":"shutdown"}"#);
     }

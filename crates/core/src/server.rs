@@ -8,11 +8,13 @@
 //! build the same way the batch engine does but across an interactive
 //! session instead of a fixed query list.
 //!
-//! The server holds one **default** backend (the trace it was launched
+//! The server holds one **default** session (the trace it was launched
 //! with — requests without a `session` field go there, byte-compatible
 //! with the single-trace protocol) plus a [`SessionManager`] of named
 //! sessions that clients `load`/`unload` at runtime (see
-//! [`crate::sessions`] for the residency policy).
+//! [`crate::sessions`] for the residency policy). The default is an
+//! ordinary [`SessionEntry`] held outside the manager's table, so every
+//! slice takes one path: result cache, backend, counters.
 //!
 //! Architecture:
 //!
@@ -39,8 +41,8 @@
 //!   `handshake_required` error and the connection closes. Unix-socket
 //!   and stdio streams accept `hello` but do not require it, keeping the
 //!   pre-TCP wire format byte-identical for old clients.
-//! * **Workers** (scoped threads, so they can borrow the slicer) pop jobs,
-//!   consult the per-criterion LRU cache of the addressed session, run
+//! * **Workers** (scoped threads, so they can borrow the sessions) pop
+//!   jobs, consult the per-criterion LRU cache of the addressed session, run
 //!   [`Slicer::slice_with_stats`], and write the response to the
 //!   connection the request came from. Responses may be written out of
 //!   order; the `id` field correlates. With a single worker a scripted
@@ -55,9 +57,9 @@
 //!   synchronous contract (build inline, answer `loaded`).
 //! * **Deadlines**: with `--timeout-ms`, each request gets a deadline
 //!   stamped at enqueue time. The deadline is checked when the job is
-//!   dequeued, during any artificial `delay_ms`, after the slice is
-//!   computed, and once more immediately before the reply is written —
-//!   a response that went stale anywhere in between answers `timeout`.
+//!   dequeued, after the slice is computed, and once more immediately
+//!   before the reply is written — a response that went stale anywhere in
+//!   between answers `timeout`.
 //! * **Errors are isolated per request**: a malformed line, unknown
 //!   criterion, unknown session, rejected load, truncated LP slice, or
 //!   I/O failure fails that request only — the server keeps serving.
@@ -73,8 +75,8 @@
 //!   lets already-accepted jobs drain. TCP connections get a final
 //!   `shutting_down` error line before the close (instead of a silently
 //!   dropped socket); [`serve`] returns only after the readers it woke
-//!   have said their farewells, and the caller gets a [`ServeSummary`]
-//!   to fold into the final metrics report.
+//!   have said their farewells, with the run's [`ServerCounters`] written
+//!   into the metrics registry.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -89,16 +91,13 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dynslice_obs::{phases, Registry};
-use dynslice_slicing::{Criterion, SliceError, Slicer};
+use dynslice_slicing::{Criterion, SliceError, Slicer as _};
 
 use crate::criteria::{parse_criterion, parse_input_tape};
 use crate::protocol::{
     ErrorKind, Op, Request, Response, ResponseBody, PROTO_MAX, PROTO_MIN,
 };
-use crate::sessions::{
-    LoadError, LruCache, SessionEntry, SessionGauges, SessionLease, SessionManager,
-    SessionSpec,
-};
+use crate::sessions::{LoadError, SessionEntry, SessionLease, SessionManager, SessionSpec};
 
 /// The identity string a `hello` reply carries.
 fn server_identity() -> String {
@@ -134,6 +133,11 @@ impl Transport {
     /// succeeds (another server is alive and listening), the bind is
     /// refused instead of silently clobbering it.
     ///
+    /// `bind` creates the socket file before the socket listens, so the
+    /// listener is bound under a temporary name in the same directory and
+    /// renamed to `path` once it listens: a client that dials as soon as
+    /// `path` exists is never refused.
+    ///
     /// # Errors
     /// `AddrInUse` when a live server holds the socket, `InvalidInput`
     /// when the path exists but is not a socket, plus ordinary bind
@@ -162,15 +166,22 @@ impl Transport {
                             ),
                         ))
                     }
-                    // Nobody accepts on it: a stale leftover, safe to reap.
-                    Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
-                        std::fs::remove_file(&path)?;
-                    }
+                    // Nobody accepts on it: a stale leftover, which the
+                    // rename below replaces.
+                    Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {}
                     Err(e) => return Err(e),
                 }
             }
         }
-        let listener = UnixListener::bind(&path)?;
+        let mut staging = path.clone().into_os_string();
+        staging.push(format!(".{}.tmp", std::process::id()));
+        let staging = PathBuf::from(staging);
+        let _ = std::fs::remove_file(&staging);
+        let listener = UnixListener::bind(&staging)?;
+        if let Err(e) = std::fs::rename(&staging, &path) {
+            let _ = std::fs::remove_file(&staging);
+            return Err(e);
+        }
         Ok(Transport::Unix(listener, path))
     }
 
@@ -207,9 +218,6 @@ pub struct ServeConfig {
     pub timeout: Option<Duration>,
     /// Bounded queue depth; a full queue rejects new requests.
     pub queue_depth: usize,
-    /// LRU slice-cache capacity in entries (per session); `0` disables
-    /// caching.
-    pub cache_capacity: usize,
     /// Most socket connections served at once; one over the cap is
     /// answered with a typed `busy` error and closed. `0` disables the
     /// cap.
@@ -230,7 +238,6 @@ impl Default for ServeConfig {
             loaders: 1,
             timeout: None,
             queue_depth: 64,
-            cache_capacity: 128,
             max_connections: 64,
             idle_timeout: None,
             max_line_bytes: 64 * 1024,
@@ -238,106 +245,154 @@ impl Default for ServeConfig {
     }
 }
 
-/// What happened over one serve session.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeSummary {
-    /// Request lines received (including malformed ones).
-    pub received: u64,
-    /// Successful responses (slices and load/unload/list acks).
-    pub ok: u64,
-    /// Slice answers served from an LRU result cache.
-    pub cache_hits: u64,
-    /// Slice answers that had to be computed.
-    pub cache_misses: u64,
-    /// Requests that missed their deadline.
-    pub timeouts: u64,
-    /// Requests bounced off the full (or closing) queue.
-    pub rejected: u64,
-    /// Lines that failed to parse or carried a malformed criterion.
-    pub bad_requests: u64,
-    /// Requests that failed server-side (unknown criterion or session,
-    /// truncation, rejected load, I/O).
-    pub failed: u64,
-    /// Socket connections admitted to service (0 for stdio).
-    pub connections: u64,
-    /// Most connections ever open at once.
-    pub connections_peak: u64,
-    /// Connections bounced off the `--max-connections` cap with a typed
-    /// `busy` error.
-    pub rejected_busy: u64,
-    /// Successful `hello` handshakes.
-    pub handshakes: u64,
-    /// Request lines discarded for exceeding the length cap.
-    pub oversized: u64,
-    /// Protocol bytes read from clients, all transports.
-    pub read_bytes: u64,
-    /// Protocol bytes written to clients, all transports.
-    pub write_bytes: u64,
-    /// Most jobs ever being answered at once.
-    pub in_flight_peak: u64,
-    /// Deepest the request queue ever got.
-    pub queue_peak: u64,
-    /// Deepest the background-load queue ever got.
-    pub load_queue_peak: u64,
-    /// Sessions admitted by `load` (preloads included).
-    pub sessions_loaded: u64,
-    /// Idle sessions evicted under the memory budget or session cap.
-    pub sessions_evicted: u64,
-    /// Sessions dropped by `unload` (same-name replacement included).
-    pub sessions_unloaded: u64,
-    /// Loads refused because eviction could not make room.
-    pub sessions_rejected: u64,
-    /// Sessions quarantined after repeated caught panics.
-    pub sessions_quarantined: u64,
-    /// Panics caught by the worker and loader pools (each one is a single
-    /// failed request or build, never a dead server).
-    pub panics: u64,
-    /// Transient I/O failures absorbed by bounded retry (paged spill
-    /// reads) instead of surfacing to a client.
-    pub retries: u64,
+/// How one [`ServerCounters`] cell lands in the run report.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A running total (`counter_add`).
+    Counter,
+    /// A peak or a level (`gauge_set`).
+    Gauge,
 }
 
-impl ServeSummary {
-    /// Emits the session's `server.*` counters and gauges into `reg`.
+/// The server's counter table: every `server.*`/`net.*` figure of a serve
+/// run, declared once as a cell and once as a report row
+/// ([`Self::record_metrics`]). Writers bump the cells in place; `health`,
+/// the CLI's summary lines and the run report all read the same cells.
+///
+/// The [`SessionManager`] owns the table (its lifecycle and residency
+/// counts are written under its lock); [`serve`] and the per-connection
+/// sinks and line readers hold clones of the same `Arc`. The `retries`
+/// count lives in `dynslice-faults`, which notes each retry.
+#[derive(Debug, Default)]
+pub struct ServerCounters {
+    /// Request lines received (including malformed ones).
+    pub requests: AtomicU64,
+    /// Successful responses (slices and load/unload/list acks).
+    pub responses_ok: AtomicU64,
+    /// Slice answers served from an LRU result cache.
+    pub cache_hits: AtomicU64,
+    /// Slice answers that had to be computed.
+    pub cache_misses: AtomicU64,
+    /// Requests that missed their deadline.
+    pub timeouts: AtomicU64,
+    /// Requests bounced off the full (or closing) queue.
+    pub rejected: AtomicU64,
+    /// Lines that failed to parse or carried a malformed criterion.
+    pub bad_requests: AtomicU64,
+    /// Requests that failed server-side (unknown criterion or session,
+    /// truncation, rejected load, I/O, a caught panic) and failed
+    /// background builds.
+    pub failed: AtomicU64,
+    /// Socket connections admitted to service (0 for stdio).
+    pub connections: AtomicU64,
+    /// Connections bounced off the `--max-connections` cap with a typed
+    /// `busy` error.
+    pub rejected_busy: AtomicU64,
+    /// Successful `hello` handshakes.
+    pub handshakes: AtomicU64,
+    /// Request lines discarded for exceeding the length cap.
+    pub oversized: AtomicU64,
+    /// Protocol bytes read from clients, all transports.
+    pub read_bytes: AtomicU64,
+    /// Protocol bytes written to clients, all transports.
+    pub write_bytes: AtomicU64,
+    /// Sessions admitted by `load` (preloads included).
+    pub sessions_loaded: AtomicU64,
+    /// Idle sessions evicted under the memory budget or session cap.
+    pub sessions_evicted: AtomicU64,
+    /// Sessions dropped by `unload` (same-name replacement included).
+    pub sessions_unloaded: AtomicU64,
+    /// Loads refused because eviction could not make room.
+    pub sessions_rejected: AtomicU64,
+    /// Sessions quarantined after repeated caught panics.
+    pub sessions_quarantined: AtomicU64,
+    /// Panics caught by the worker and loader pools (each one is a single
+    /// failed request or build, never a dead server).
+    pub panics: AtomicU64,
+    /// Most connections ever open at once.
+    pub connections_peak: AtomicU64,
+    /// Most jobs ever being answered at once.
+    pub in_flight_peak: AtomicU64,
+    /// Deepest the request queue ever got.
+    pub queue_peak: AtomicU64,
+    /// Deepest the background-load queue ever got.
+    pub load_queue_peak: AtomicU64,
+    /// Resident named sessions now.
+    pub sessions_resident: AtomicU64,
+    /// Bytes the memory budget charges the resident sessions now.
+    pub sessions_resident_bytes: AtomicU64,
+    /// Query worker threads.
+    pub workers: AtomicU64,
+    /// Loader threads.
+    pub loaders: AtomicU64,
+    /// Named sessions with an asynchronous build in flight now (a
+    /// replacement build whose old session still serves is not counted,
+    /// matching `list`). Read by `health`; not reported.
+    pub(crate) sessions_loading: AtomicU64,
+    /// Names quarantined now. Read by `health`; not reported.
+    pub(crate) quarantined_now: AtomicU64,
+}
+
+impl ServerCounters {
+    /// The report rows: each reported cell with its key and kind.
+    fn rows(&self) -> [(&'static str, Kind, &AtomicU64); 28] {
+        use Kind::{Counter, Gauge};
+        [
+            ("server.requests", Counter, &self.requests),
+            ("server.responses_ok", Counter, &self.responses_ok),
+            ("server.cache_hits", Counter, &self.cache_hits),
+            ("server.cache_misses", Counter, &self.cache_misses),
+            ("server.timeouts", Counter, &self.timeouts),
+            ("server.rejected", Counter, &self.rejected),
+            ("server.bad_requests", Counter, &self.bad_requests),
+            ("server.failed", Counter, &self.failed),
+            ("server.connections", Counter, &self.connections),
+            ("server.rejected_busy", Counter, &self.rejected_busy),
+            ("server.handshakes", Counter, &self.handshakes),
+            ("server.oversized", Counter, &self.oversized),
+            ("net.read_bytes", Counter, &self.read_bytes),
+            ("net.write_bytes", Counter, &self.write_bytes),
+            ("server.sessions_loaded", Counter, &self.sessions_loaded),
+            ("server.sessions_evicted", Counter, &self.sessions_evicted),
+            ("server.sessions_unloaded", Counter, &self.sessions_unloaded),
+            ("server.sessions_rejected", Counter, &self.sessions_rejected),
+            ("server.sessions_quarantined", Counter, &self.sessions_quarantined),
+            ("server.panics", Counter, &self.panics),
+            ("server.connections_peak", Gauge, &self.connections_peak),
+            ("server.in_flight_peak", Gauge, &self.in_flight_peak),
+            ("server.queue_peak", Gauge, &self.queue_peak),
+            ("server.load_queue_peak", Gauge, &self.load_queue_peak),
+            ("server.sessions_resident", Gauge, &self.sessions_resident),
+            ("server.sessions_resident_bytes", Gauge, &self.sessions_resident_bytes),
+            ("server.workers", Gauge, &self.workers),
+            ("server.loaders", Gauge, &self.loaders),
+        ]
+    }
+
+    /// Emits every row into `reg`, plus `server.retries` from the fault
+    /// crate's retry count.
     pub fn record_metrics(&self, reg: &Registry) {
-        reg.counter_add("server.requests", self.received);
-        reg.counter_add("server.responses_ok", self.ok);
-        reg.counter_add("server.cache_hits", self.cache_hits);
-        reg.counter_add("server.cache_misses", self.cache_misses);
-        reg.counter_add("server.timeouts", self.timeouts);
-        reg.counter_add("server.rejected", self.rejected);
-        reg.counter_add("server.bad_requests", self.bad_requests);
-        reg.counter_add("server.failed", self.failed);
-        reg.counter_add("server.connections", self.connections);
-        reg.counter_add("server.rejected_busy", self.rejected_busy);
-        reg.counter_add("server.handshakes", self.handshakes);
-        reg.counter_add("server.oversized", self.oversized);
-        reg.counter_add("net.read_bytes", self.read_bytes);
-        reg.counter_add("net.write_bytes", self.write_bytes);
-        reg.gauge_set("server.connections_peak", self.connections_peak as f64);
-        reg.counter_add("server.sessions_loaded", self.sessions_loaded);
-        reg.counter_add("server.sessions_evicted", self.sessions_evicted);
-        reg.counter_add("server.sessions_unloaded", self.sessions_unloaded);
-        reg.counter_add("server.sessions_rejected", self.sessions_rejected);
-        reg.counter_add("server.sessions_quarantined", self.sessions_quarantined);
-        reg.counter_add("server.panics", self.panics);
-        reg.counter_add("server.retries", self.retries);
-        reg.gauge_set("server.in_flight_peak", self.in_flight_peak as f64);
-        reg.gauge_set("server.queue_peak", self.queue_peak as f64);
-        reg.gauge_set("server.load_queue_peak", self.load_queue_peak as f64);
+        for (key, kind, cell) in self.rows() {
+            let value = cell.load(Ordering::Relaxed);
+            match kind {
+                Kind::Counter => reg.counter_add(key, value),
+                Kind::Gauge => reg.gauge_set(key, value as f64),
+            }
+        }
+        reg.counter_add("server.retries", dynslice_faults::retries());
     }
 }
 
 /// A response sink shared by every job from one connection.
 struct Sink {
     out: Mutex<Box<dyn Write + Send>>,
-    /// The server-wide written-bytes counter (`net.write_bytes`).
-    written: Arc<AtomicU64>,
+    /// Counts the bytes written (`net.write_bytes`).
+    counters: Arc<ServerCounters>,
 }
 
 impl Sink {
-    fn new(out: Box<dyn Write + Send>, written: Arc<AtomicU64>) -> Arc<Self> {
-        Arc::new(Sink { out: Mutex::new(out), written })
+    fn new(out: Box<dyn Write + Send>, counters: &Arc<ServerCounters>) -> Arc<Self> {
+        Arc::new(Sink { out: Mutex::new(out), counters: Arc::clone(counters) })
     }
 
     /// Writes one response line. A dead connection is not an error — the
@@ -347,7 +402,7 @@ impl Sink {
     /// ever write again would silently kill every later response on it.
     fn send(&self, response: &Response) {
         let line = response.to_json();
-        self.written.fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
+        self.counters.write_bytes.fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
         let mut out = self.out.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
@@ -359,7 +414,7 @@ enum JobKind {
     /// Slice `criterion` against the named session (`None` = the default
     /// trace). `wait` opts into blocking on a session that is still
     /// loading instead of answering a `loading` error.
-    Slice { criterion: Criterion, session: Option<String>, delay_ms: u64, wait: bool },
+    Slice { criterion: Criterion, session: Option<String>, wait: bool },
     /// Build and admit a session; `wait` selects the synchronous contract
     /// (build inline, answer `loaded`) over the asynchronous default
     /// (ack `loading`, build on the loader pool).
@@ -473,43 +528,17 @@ struct Shared {
     /// Background session builds, drained by the loader pool so they
     /// never occupy a query worker.
     loads: Queue<LoadJob>,
-    /// Result cache for the default (sessionless) trace; named sessions
-    /// carry their own.
-    cache: Mutex<LruCache>,
     timeout: Option<Duration>,
     max_connections: usize,
     idle_timeout: Option<Duration>,
     max_line_bytes: usize,
     shutdown: AtomicBool,
     readers_active: AtomicU64,
-    received: AtomicU64,
-    ok: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    timeouts: AtomicU64,
-    rejected: AtomicU64,
-    bad_requests: AtomicU64,
-    failed: AtomicU64,
-    connections: AtomicU64,
     open_connections: AtomicU64,
-    connections_peak: AtomicU64,
-    rejected_busy: AtomicU64,
-    handshakes: AtomicU64,
-    oversized: AtomicU64,
-    /// Behind `Arc`s of their own so sinks and line readers can count
-    /// without holding the whole shared state.
-    net_read: Arc<AtomicU64>,
-    net_write: Arc<AtomicU64>,
     in_flight: AtomicU64,
-    in_flight_peak: AtomicU64,
-    queue_peak: AtomicU64,
-    loads_peak: AtomicU64,
-    /// Panics caught by the worker and loader pools.
-    panics: AtomicU64,
-    /// The session manager's lock-free count mirror. The `health` op is
-    /// answered by detached reader threads that cannot borrow the scoped
-    /// manager, so they read these instead.
-    gauges: Arc<SessionGauges>,
+    /// The session manager's counter table. Detached readers answer
+    /// `health` from it, since they cannot borrow the scoped manager.
+    counters: Arc<ServerCounters>,
     /// The supervisor's doorbell.
     waker: Waker,
     /// Every live socket connection by id — a handle on the same socket
@@ -520,39 +549,19 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(config: &ServeConfig, gauges: Arc<SessionGauges>) -> io::Result<Self> {
+    fn new(config: &ServeConfig, counters: Arc<ServerCounters>) -> io::Result<Self> {
         Ok(Shared {
             queue: Queue::new(config.queue_depth),
             loads: Queue::new(config.queue_depth),
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
             timeout: config.timeout,
             max_connections: config.max_connections,
             idle_timeout: config.idle_timeout,
             max_line_bytes: config.max_line_bytes.max(1),
             shutdown: AtomicBool::new(false),
             readers_active: AtomicU64::new(0),
-            received: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            bad_requests: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
-            connections_peak: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
-            handshakes: AtomicU64::new(0),
-            oversized: AtomicU64::new(0),
-            net_read: Arc::new(AtomicU64::new(0)),
-            net_write: Arc::new(AtomicU64::new(0)),
             in_flight: AtomicU64::new(0),
-            in_flight_peak: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
-            loads_peak: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            gauges,
+            counters,
             waker: Waker::new()?,
             live: Mutex::new(HashMap::new()),
             live_drained: Condvar::new(),
@@ -617,18 +626,19 @@ impl Shared {
 
     /// Builds the `health` reply: liveness plus the coarse counts a
     /// probe needs to decide between `ok` and `degraded`. Reads only
-    /// atomics and the queue length, so it answers even when every
+    /// counter cells and the queue length, so it answers even when every
     /// worker is wedged.
     fn health(&self, id: u64) -> Response {
-        let panics = self.panics.load(Ordering::Relaxed);
-        let quarantined = self.gauges.quarantined.load(Ordering::SeqCst);
+        let c = &*self.counters;
+        let panics = c.panics.load(Ordering::Relaxed);
+        let quarantined = c.quarantined_now.load(Ordering::SeqCst);
         let status = if panics > 0 || quarantined > 0 { "degraded" } else { "ok" };
         Response {
             id,
             body: ResponseBody::Health {
                 status: status.to_string(),
-                sessions: self.gauges.resident.load(Ordering::SeqCst),
-                loading: self.gauges.loading.load(Ordering::SeqCst),
+                sessions: c.sessions_resident.load(Ordering::SeqCst),
+                loading: c.sessions_loading.load(Ordering::SeqCst),
                 quarantined,
                 queue_depth: self.queue.len(),
                 panics,
@@ -638,49 +648,24 @@ impl Shared {
     }
 
     fn error(&self, id: u64, kind: ErrorKind, message: impl Into<String>) -> Response {
-        match kind {
-            ErrorKind::Timeout => self.timeouts.fetch_add(1, Ordering::Relaxed),
-            ErrorKind::Rejected => self.rejected.fetch_add(1, Ordering::Relaxed),
+        let c = &*self.counters;
+        let cell = match kind {
+            ErrorKind::Timeout => &c.timeouts,
             // The drain answers like a rejection for summary purposes,
             // with its own protocol tag.
-            ErrorKind::ShuttingDown => self.rejected.fetch_add(1, Ordering::Relaxed),
-            ErrorKind::BadRequest => self.bad_requests.fetch_add(1, Ordering::Relaxed),
-            ErrorKind::Busy => self.rejected_busy.fetch_add(1, Ordering::Relaxed),
-            ErrorKind::Oversized => self.oversized.fetch_add(1, Ordering::Relaxed),
-            _ => self.failed.fetch_add(1, Ordering::Relaxed),
+            ErrorKind::Rejected | ErrorKind::ShuttingDown => &c.rejected,
+            ErrorKind::BadRequest => &c.bad_requests,
+            ErrorKind::Busy => &c.rejected_busy,
+            ErrorKind::Oversized => &c.oversized,
+            _ => &c.failed,
         };
+        cell.fetch_add(1, Ordering::Relaxed);
         Response { id, body: ResponseBody::Error { kind, message: message.into() } }
     }
 
-    fn summary(&self, manager: &SessionManager) -> ServeSummary {
-        let sessions = manager.counters();
-        ServeSummary {
-            received: self.received.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            connections_peak: self.connections_peak.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            handshakes: self.handshakes.load(Ordering::Relaxed),
-            oversized: self.oversized.load(Ordering::Relaxed),
-            read_bytes: self.net_read.load(Ordering::Relaxed),
-            write_bytes: self.net_write.load(Ordering::Relaxed),
-            in_flight_peak: self.in_flight_peak.load(Ordering::Relaxed),
-            queue_peak: self.queue_peak.load(Ordering::Relaxed),
-            load_queue_peak: self.loads_peak.load(Ordering::Relaxed),
-            sessions_loaded: sessions.loaded,
-            sessions_evicted: sessions.evicted,
-            sessions_unloaded: sessions.unloaded,
-            sessions_rejected: sessions.rejected,
-            sessions_quarantined: sessions.quarantined,
-            panics: self.panics.load(Ordering::Relaxed),
-            retries: dynslice_faults::retries(),
-        }
+    /// Counts one successful response.
+    fn ok(&self) {
+        self.counters.responses_ok.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -765,12 +750,7 @@ fn plan(request: Request, shared: &Shared) -> Result<JobKind, Response> {
         Op::Slice => {
             let criterion = parse_criterion(request.criterion.as_deref().unwrap_or_default())
                 .map_err(|msg| shared.error(request.id, ErrorKind::BadRequest, msg))?;
-            Ok(JobKind::Slice {
-                criterion,
-                session: request.session,
-                delay_ms: request.delay_ms,
-                wait: request.wait,
-            })
+            Ok(JobKind::Slice { criterion, session: request.session, wait: request.wait })
         }
         Op::Load => {
             let build = || -> Result<SessionSpec, String> {
@@ -843,8 +823,8 @@ struct LineReader<'a, R: Read> {
     chunk: [u8; 4096],
     max: usize,
     discarding: bool,
-    /// The server-wide read-bytes counter (`net.read_bytes`).
-    read_bytes: Arc<AtomicU64>,
+    /// Counts the bytes read (`net.read_bytes`).
+    counters: Arc<ServerCounters>,
     /// The idle limit and the socket whose read timeout enforces it.
     idle: Option<(&'a Conn, Duration)>,
     /// When the idle clock last restarted: construction or the last line.
@@ -855,7 +835,7 @@ impl<'a, R: Read> LineReader<'a, R> {
     fn new(
         inner: R,
         max: usize,
-        read_bytes: Arc<AtomicU64>,
+        counters: Arc<ServerCounters>,
         idle: Option<(&'a Conn, Duration)>,
     ) -> Self {
         LineReader {
@@ -864,7 +844,7 @@ impl<'a, R: Read> LineReader<'a, R> {
             chunk: [0; 4096],
             max,
             discarding: false,
-            read_bytes,
+            counters,
             idle,
             since: Instant::now(),
         }
@@ -919,7 +899,7 @@ impl<'a, R: Read> LineReader<'a, R> {
             match self.inner.read(&mut self.chunk) {
                 Ok(0) => return LineRead::Eof,
                 Ok(n) => {
-                    self.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
+                    self.counters.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
                     self.pending.extend_from_slice(&self.chunk[..n]);
                 }
                 // A timed-out read loops back to the deadline check.
@@ -1021,7 +1001,7 @@ fn serve_connection(
     policy: &ConnPolicy,
 ) {
     let mut lines =
-        LineReader::new(input, shared.max_line_bytes, Arc::clone(&shared.net_read), idle);
+        LineReader::new(input, shared.max_line_bytes, Arc::clone(&shared.counters), idle);
     let mut handshaken = !policy.require_hello;
     // Set when this very connection sent the `shutdown` op: it already
     // got the ack, so it does not also get the farewell.
@@ -1035,7 +1015,7 @@ fn serve_connection(
                 return;
             }
             LineRead::Oversized => {
-                shared.received.fetch_add(1, Ordering::Relaxed);
+                shared.counters.requests.fetch_add(1, Ordering::Relaxed);
                 sink.send(&shared.error(
                     0,
                     ErrorKind::Oversized,
@@ -1049,7 +1029,7 @@ fn serve_connection(
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                shared.received.fetch_add(1, Ordering::Relaxed);
+                shared.counters.requests.fetch_add(1, Ordering::Relaxed);
                 let request = match Request::parse(&line) {
                     Ok(r) => r,
                     Err(msg) => {
@@ -1082,8 +1062,8 @@ fn serve_connection(
                         return;
                     }
                     handshaken = true;
-                    shared.handshakes.fetch_add(1, Ordering::Relaxed);
-                    shared.ok.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.handshakes.fetch_add(1, Ordering::Relaxed);
+                    shared.ok();
                     sink.send(&Response {
                         id: request.id,
                         body: ResponseBody::Hello {
@@ -1099,7 +1079,7 @@ fn serve_connection(
                     // handshake gate and without touching the worker queue,
                     // so a probe gets an answer even from a server whose
                     // pool is saturated or wedged.
-                    shared.ok.fetch_add(1, Ordering::Relaxed);
+                    shared.ok();
                     sink.send(&shared.health(request.id));
                     continue;
                 }
@@ -1132,7 +1112,7 @@ fn serve_connection(
                     sink: Arc::clone(sink),
                     conn: policy.conn,
                 };
-                if let Err(job) = shared.queue.push(job, &shared.queue_peak) {
+                if let Err(job) = shared.queue.push(job, &shared.counters.queue_peak) {
                     let (kind, msg) = if shared.queue.is_closed() {
                         (ErrorKind::ShuttingDown, "server is shutting down")
                     } else {
@@ -1162,95 +1142,79 @@ fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-/// Answers one slice job against `slicer`, consulting `cache`; `session`
-/// (when the job addressed a named session) additionally receives the
-/// per-session counters. `reg` receives the backend's per-query counters.
-#[allow(clippy::too_many_arguments)]
-fn answer_slice<S: Slicer + ?Sized>(
-    slicer: &S,
-    cache: &Mutex<LruCache>,
-    session: Option<&SessionEntry>,
+/// Answers one slice job against `entry` (the default trace or a leased
+/// named session), consulting its result cache. `reg` receives the
+/// backend's per-query counters.
+fn answer_slice(
+    entry: &SessionEntry,
     id: u64,
     criterion: &Criterion,
-    delay_ms: u64,
     deadline: Option<Instant>,
     shared: &Shared,
     reg: &Registry,
 ) -> Response {
     let started = Instant::now();
+    entry.requests.fetch_add(1, Ordering::Relaxed);
     if expired(deadline) {
         return shared.error(id, ErrorKind::Timeout, "deadline exceeded before dispatch");
     }
-    // Artificial stand-in for an expensive query (tests, latency drills):
-    // sleep in short ticks so an expired deadline is noticed promptly.
-    let mut remaining = Duration::from_millis(delay_ms);
-    while !remaining.is_zero() {
-        if expired(deadline) {
-            return shared.error(id, ErrorKind::Timeout, "deadline exceeded");
-        }
-        let tick = remaining.min(Duration::from_millis(5));
-        thread::sleep(tick);
-        remaining -= tick;
-    }
+    let slicer = entry.slicer();
     // Result-cache locks recover from poisoning: the cache holds only
     // completed slices, so whatever a panicking holder left behind is at
     // worst a missing entry — never worth failing the request over.
-    if let Some(stmts) = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).get(criterion) {
-        // A hit is nearly free, but the job may have sat in the queue past
-        // its deadline — never count (or serve) a stale answer.
-        if expired(deadline) {
-            return shared.error(id, ErrorKind::Timeout, "deadline exceeded");
-        }
-        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-        shared.ok.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = session {
-            entry.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        return Response {
-            id,
-            body: ResponseBody::Slice {
-                algo: slicer.name().to_string(),
-                stmts: (*stmts).clone(),
-                cached: true,
-                micros: started.elapsed().as_micros() as u64,
-            },
-        };
+    let cache = || entry.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let hit = cache().get(criterion);
+    let (stmts, cached) = match hit {
+        Some(stmts) => (stmts, true),
+        None => match slicer.slice_with_stats(criterion) {
+            Ok((slice, stats)) => {
+                stats.record_metrics_for(slicer.name(), reg);
+                let stmts: Arc<Vec<u32>> = Arc::new(slice.stmts.iter().map(|s| s.0).collect());
+                cache().insert(*criterion, Arc::clone(&stmts));
+                (stmts, false)
+            }
+            Err(SliceError::UnknownCriterion) => {
+                return shared.error(
+                    id,
+                    ErrorKind::UnknownCriterion,
+                    "criterion matches no executed statement",
+                )
+            }
+            Err(SliceError::Truncated { partial }) => {
+                return shared.error(
+                    id,
+                    ErrorKind::Truncated,
+                    format!(
+                        "slice truncated by pass budget ({} statements found)",
+                        partial.stmts.len()
+                    ),
+                )
+            }
+            Err(SliceError::Io(e)) => return shared.error(id, ErrorKind::Io, e.to_string()),
+        },
+    };
+    // A hit is nearly free, but the job may have sat in the queue past its
+    // deadline, and a miss may have computed past it — never count (or
+    // serve) a stale answer.
+    if expired(deadline) {
+        return shared.error(id, ErrorKind::Timeout, "deadline exceeded");
     }
-    match slicer.slice_with_stats(criterion) {
-        Ok((slice, stats)) => {
-            stats.record_metrics_for(slicer.name(), reg);
-            let stmts: Arc<Vec<u32>> = Arc::new(slice.stmts.iter().map(|s| s.0).collect());
-            cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(*criterion, Arc::clone(&stmts));
-            if expired(deadline) {
-                return shared.error(id, ErrorKind::Timeout, "deadline exceeded");
-            }
-            shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-            shared.ok.fetch_add(1, Ordering::Relaxed);
-            if let Some(entry) = session {
-                entry.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Response {
-                id,
-                body: ResponseBody::Slice {
-                    algo: slicer.name().to_string(),
-                    stmts: (*stmts).clone(),
-                    cached: false,
-                    micros: started.elapsed().as_micros() as u64,
-                },
-            }
-        }
-        Err(SliceError::UnknownCriterion) => {
-            shared.error(id, ErrorKind::UnknownCriterion, "criterion matches no executed statement")
-        }
-        Err(SliceError::Truncated { partial }) => shared.error(
-            id,
-            ErrorKind::Truncated,
-            format!("slice truncated by pass budget ({} statements found)", partial.stmts.len()),
-        ),
-        Err(SliceError::Io(e)) => shared.error(id, ErrorKind::Io, e.to_string()),
+    let (server, session) = if cached {
+        (&shared.counters.cache_hits, &entry.cache_hits)
+    } else {
+        (&shared.counters.cache_misses, &entry.cache_misses)
+    };
+    server.fetch_add(1, Ordering::Relaxed);
+    session.fetch_add(1, Ordering::Relaxed);
+    shared.ok();
+    Response {
+        id,
+        body: ResponseBody::Slice {
+            algo: slicer.name().to_string(),
+            stmts: (*stmts).clone(),
+            cached,
+            micros: started.elapsed().as_micros() as u64,
+        },
     }
 }
 
@@ -1298,9 +1262,9 @@ fn checkout_session(
     }
 }
 
-/// Answers one job of any kind.
-fn answer<S: Slicer + ?Sized>(
-    default: &S,
+/// Answers one job of any kind; sessionless slices go to `default`.
+fn answer(
+    default: &SessionEntry,
     manager: &SessionManager,
     job: &Job,
     shared: &Shared,
@@ -1313,18 +1277,10 @@ fn answer<S: Slicer + ?Sized>(
         return shared.error(job.id, ErrorKind::Internal, fault.to_string());
     }
     match &job.kind {
-        JobKind::Slice { criterion, session: None, delay_ms, .. } => answer_slice(
-            default,
-            &shared.cache,
-            None,
-            job.id,
-            criterion,
-            *delay_ms,
-            job.deadline,
-            shared,
-            reg,
-        ),
-        JobKind::Slice { criterion, session: Some(name), delay_ms, wait } => {
+        JobKind::Slice { criterion, session, wait } => {
+            let Some(name) = session else {
+                return answer_slice(default, job.id, criterion, job.deadline, shared, reg);
+            };
             match checkout_session(manager, name, *wait, job.deadline, job.conn) {
                 Checkout::Missing if manager.is_quarantined(name) => shared.error(
                     job.id,
@@ -1350,18 +1306,8 @@ fn answer<S: Slicer + ?Sized>(
                     format!("deadline exceeded while session `{name}` was loading"),
                 ),
                 Checkout::Ready(lease) => {
-                    lease.requests.fetch_add(1, Ordering::Relaxed);
-                    let response = answer_slice(
-                        lease.slicer(),
-                        &lease.cache,
-                        Some(&*lease),
-                        job.id,
-                        criterion,
-                        *delay_ms,
-                        job.deadline,
-                        shared,
-                        reg,
-                    );
+                    let response =
+                        answer_slice(&lease, job.id, criterion, job.deadline, shared, reg);
                     // A slice can grow a paged session past the memory
                     // budget; re-weigh and evict once the lease is back.
                     drop(lease);
@@ -1384,7 +1330,7 @@ fn answer<S: Slicer + ?Sized>(
                 }
                 return match manager.load(spec, reg) {
                     Ok(entry) => {
-                        shared.ok.fetch_add(1, Ordering::Relaxed);
+                        shared.ok();
                         Response {
                             id: job.id,
                             body: ResponseBody::Loaded {
@@ -1410,9 +1356,10 @@ fn answer<S: Slicer + ?Sized>(
                     format!("session `{}` is already loading", spec.name),
                 );
             }
-            match shared.loads.push(LoadJob { spec: spec.clone() }, &shared.loads_peak) {
+            let build = LoadJob { spec: spec.clone() };
+            match shared.loads.push(build, &shared.counters.load_queue_peak) {
                 Ok(()) => {
-                    shared.ok.fetch_add(1, Ordering::Relaxed);
+                    shared.ok();
                     Response {
                         id: job.id,
                         body: ResponseBody::Loading { session: spec.name.clone() },
@@ -1426,7 +1373,7 @@ fn answer<S: Slicer + ?Sized>(
         }
         JobKind::Unload(name) => match manager.unload(name) {
             crate::Unload::Unloaded => {
-                shared.ok.fetch_add(1, Ordering::Relaxed);
+                shared.ok();
                 Response { id: job.id, body: ResponseBody::Unloaded { session: name.clone() } }
             }
             crate::Unload::Loading => shared.error(
@@ -1441,7 +1388,7 @@ fn answer<S: Slicer + ?Sized>(
             ),
         },
         JobKind::List => {
-            shared.ok.fetch_add(1, Ordering::Relaxed);
+            shared.ok();
             Response { id: job.id, body: ResponseBody::Sessions { sessions: manager.list() } }
         }
     }
@@ -1456,19 +1403,14 @@ fn finalize(response: Response, id: u64, deadline: Option<Instant>, shared: &Sha
     if matches!(response.body, ResponseBody::Error { .. }) || !expired(deadline) {
         return response;
     }
-    shared.ok.fetch_sub(1, Ordering::Relaxed);
+    shared.counters.responses_ok.fetch_sub(1, Ordering::Relaxed);
     shared.error(id, ErrorKind::Timeout, "deadline exceeded before reply")
 }
 
-fn worker_loop<S: Slicer + ?Sized>(
-    default: &S,
-    manager: &SessionManager,
-    shared: &Shared,
-    reg: &Registry,
-) {
+fn worker_loop(default: &SessionEntry, manager: &SessionManager, shared: &Shared, reg: &Registry) {
     while let Some(job) = shared.queue.pop() {
         let in_flight = shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        shared.in_flight_peak.fetch_max(in_flight, Ordering::Relaxed);
+        shared.counters.in_flight_peak.fetch_max(in_flight, Ordering::Relaxed);
         // Panic isolation: a handler that unwinds kills this request, not
         // the worker. `AssertUnwindSafe` is justified because everything
         // the closure touches is either owned by the job or synchronized
@@ -1479,7 +1421,7 @@ fn worker_loop<S: Slicer + ?Sized>(
         let response = match answered {
             Ok(response) => finalize(response, job.id, job.deadline, shared),
             Err(_) => {
-                shared.panics.fetch_add(1, Ordering::Relaxed);
+                shared.counters.panics.fetch_add(1, Ordering::Relaxed);
                 // Attribute the panic to the session the request addressed
                 // so repeat offenders are quarantined.
                 if let JobKind::Slice { session: Some(name), .. } = &job.kind {
@@ -1516,11 +1458,11 @@ fn loader_loop(manager: &SessionManager, shared: &Shared, reg: &Registry) {
             // own lock; a disarmed drop must not erase a newer one.
             Ok(Ok(_)) => guard.disarm(),
             Ok(Err(_)) => {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
+                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                shared.panics.fetch_add(1, Ordering::Relaxed);
-                shared.failed.fetch_add(1, Ordering::Relaxed);
+                shared.counters.panics.fetch_add(1, Ordering::Relaxed);
+                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
                 // A panicking build counts against the name like a
                 // panicking request does.
                 manager.record_panic(&job.spec.name);
@@ -1530,8 +1472,10 @@ fn loader_loop(manager: &SessionManager, shared: &Shared, reg: &Registry) {
 }
 
 /// A listener of either socket family, so one acceptor loop serves both.
+/// A Unix listener keeps the public path it was renamed to: its own
+/// `local_addr` names the temporary file it was bound under.
 enum AnyListener {
-    Unix(UnixListener),
+    Unix(UnixListener, PathBuf),
     Tcp(TcpListener),
 }
 
@@ -1539,7 +1483,7 @@ impl AnyListener {
     /// Blocks for the next connection.
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            AnyListener::Unix(l) => Ok(Conn::Unix(l.accept()?.0)),
+            AnyListener::Unix(l, _) => Ok(Conn::Unix(l.accept()?.0)),
             AnyListener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
                 let _ = stream.set_nodelay(true);
@@ -1549,16 +1493,12 @@ impl AnyListener {
     }
 
     /// Dials this listener once and hangs up, waking an acceptor blocked
-    /// in [`accept`](Self::accept); whether the dial got through. A TCP
-    /// listener is reached at its bound address, with an unspecified IP
-    /// mapped to loopback.
+    /// in [`accept`](Self::accept); whether the dial got through. A Unix
+    /// listener is reached at its public path, a TCP listener at its bound
+    /// address with an unspecified IP mapped to loopback.
     fn wake(&self) -> bool {
         match self {
-            AnyListener::Unix(l) => l
-                .local_addr()
-                .ok()
-                .and_then(|addr| addr.as_pathname().map(UnixStream::connect))
-                .is_some_and(|dial| dial.is_ok()),
+            AnyListener::Unix(_, path) => UnixStream::connect(path).is_ok(),
             AnyListener::Tcp(l) => {
                 let Ok(mut addr) = l.local_addr() else { return false };
                 if addr.ip().is_unspecified() {
@@ -1621,7 +1561,7 @@ fn acceptor_loop(
         let (Ok(writer), Ok(handle)) = (conn.try_clone(), conn.try_clone()) else {
             continue;
         };
-        let sink = Sink::new(Box::new(writer), Arc::clone(&shared.net_write));
+        let sink = Sink::new(Box::new(writer), &shared.counters);
         let Some(open) = admit(&shared.open_connections, shared.max_connections) else {
             // Typed rejection, then drop: the client learns it should
             // back off instead of staring at a dead socket.
@@ -1632,8 +1572,8 @@ fn acceptor_loop(
             ));
             continue;
         };
-        let id = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
-        shared.connections_peak.fetch_max(open, Ordering::Relaxed);
+        let id = shared.counters.connections.fetch_add(1, Ordering::Relaxed) + 1;
+        shared.counters.connections_peak.fetch_max(open, Ordering::Relaxed);
         shared.readers_active.fetch_add(1, Ordering::SeqCst);
         shared.register(id, handle);
         let shared = Arc::clone(&shared);
@@ -1657,27 +1597,29 @@ fn acceptor_loop(
 /// a TCP listener serving concurrently; an empty vector is the stdio
 /// transport.
 ///
-/// `slicer` serves sessionless requests (the trace the server was
-/// launched with); `manager` owns the named sessions that `load` creates.
+/// `default` serves sessionless requests: the trace the server was
+/// launched with, wrapped by [`SessionManager::default_entry`] and held
+/// outside the manager's table. `manager` owns the named sessions that
+/// `load` creates, and the [`ServerCounters`] table the run counts into.
 ///
-/// The session's wall time lands in the `serve` phase and the `server.*`
-/// counters in `reg` (including the manager's `server.sessions_*`); the
-/// returned [`ServeSummary`] holds the same numbers for the caller's
-/// status line. Per-session sub-reports stay in the manager — callers
+/// The session's wall time lands in the `serve` phase and the table's
+/// rows in `reg`. Per-session sub-reports stay in the manager — callers
 /// fold [`SessionManager::final_reports`] into their run report.
 ///
 /// # Errors
 /// Fails only if the supervisor's wake socket pair cannot be created;
 /// transport errors end the affected connection, not the session.
-pub fn serve<S: Slicer + ?Sized>(
-    slicer: &S,
+pub fn serve(
+    default: &SessionEntry,
     manager: &SessionManager,
     config: &ServeConfig,
     transports: Vec<Transport>,
     reg: &Registry,
-) -> io::Result<ServeSummary> {
+) -> io::Result<()> {
     let start = Instant::now();
-    let shared = Arc::new(Shared::new(config, manager.gauges())?);
+    let shared = Arc::new(Shared::new(config, Arc::clone(manager.server_counters()))?);
+    shared.counters.workers.store(config.workers.max(1) as u64, Ordering::Relaxed);
+    shared.counters.loaders.store(config.loaders.max(1) as u64, Ordering::Relaxed);
     let wake_fd = shared.waker.tx.as_raw_fd();
     WAKE_FD.store(wake_fd, Ordering::SeqCst);
     SIGTERM_RECEIVED.store(false, Ordering::SeqCst);
@@ -1699,7 +1641,7 @@ pub fn serve<S: Slicer + ?Sized>(
         let mut workers = Vec::new();
         for _ in 0..config.workers.max(1) {
             let shared = &shared;
-            workers.push(scope.spawn(move || worker_loop(slicer, manager, shared, reg)));
+            workers.push(scope.spawn(move || worker_loop(default, manager, shared, reg)));
         }
         for _ in 0..config.loaders.max(1) {
             let shared = &shared;
@@ -1715,7 +1657,7 @@ pub fn serve<S: Slicer + ?Sized>(
             let shared = Arc::clone(&shared);
             let (listener, tcp) = match transport {
                 Transport::Stdio => {
-                    let sink = Sink::new(Box::new(io::stdout()), Arc::clone(&shared.net_write));
+                    let sink = Sink::new(Box::new(io::stdout()), &shared.counters);
                     thread::spawn(move || {
                         let policy =
                             ConnPolicy { require_hello: false, farewell: false, conn: 0 };
@@ -1724,7 +1666,7 @@ pub fn serve<S: Slicer + ?Sized>(
                     });
                     continue;
                 }
-                Transport::Unix(listener, _) => (AnyListener::Unix(listener), false),
+                Transport::Unix(listener, path) => (AnyListener::Unix(listener, path), false),
                 Transport::Tcp(listener) => (AnyListener::Tcp(listener), true),
             };
             // TCP demands the handshake and says farewell; Unix does neither.
@@ -1776,11 +1718,7 @@ pub fn serve<S: Slicer + ?Sized>(
         let _ = std::fs::remove_file(path);
     }
     reg.phase_add(phases::SERVE, start.elapsed());
-    manager.record_metrics(reg);
-    let summary = shared.summary(manager);
-    summary.record_metrics(reg);
-    reg.gauge_set("server.workers", config.workers.max(1) as f64);
-    reg.gauge_set("server.loaders", config.loaders.max(1) as f64);
+    shared.counters.record_metrics(reg);
     // Reconciliation: every injected fault the plan fired lands in the
     // report as `faults.<point>.<action>`, so a chaos run can check
     // `server.panics`/`server.retries` against what was injected.
@@ -1791,7 +1729,7 @@ pub fn serve<S: Slicer + ?Sized>(
             }
         }
     }
-    Ok(summary)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1802,15 +1740,10 @@ mod tests {
     fn queue_rejects_when_full_and_drains_after_close() {
         let queue = Queue::new(1);
         let peak = AtomicU64::new(0);
-        let sink = Sink::new(Box::new(io::sink()), Arc::new(AtomicU64::new(0)));
+        let sink = Sink::new(Box::new(io::sink()), &Arc::default());
         let job = |id| Job {
             id,
-            kind: JobKind::Slice {
-                criterion: Criterion::Output(0),
-                session: None,
-                delay_ms: 0,
-                wait: false,
-            },
+            kind: JobKind::Slice { criterion: Criterion::Output(0), session: None, wait: false },
             deadline: None,
             sink: Arc::clone(&sink),
             conn: 0,
@@ -1828,7 +1761,7 @@ mod tests {
     }
 
     fn lines_over(input: &[u8], max: usize) -> LineReader<'static, &[u8]> {
-        LineReader::new(input, max, Arc::new(AtomicU64::new(0)), None)
+        LineReader::new(input, max, Arc::default(), None)
     }
 
     /// The bounded reader: whole lines come out newline-stripped, CRLF
@@ -1877,12 +1810,12 @@ mod tests {
     /// unterminated hostile stream (no newline before EOF) terminates.
     #[test]
     fn line_reader_counts_bytes_and_survives_unterminated_garbage() {
-        let counter = Arc::new(AtomicU64::new(0));
+        let counters = Arc::<ServerCounters>::default();
         let input: Vec<u8> = vec![b'z'; 9000];
-        let mut lines = LineReader::new(&input[..], 8, Arc::clone(&counter), None);
+        let mut lines = LineReader::new(&input[..], 8, Arc::clone(&counters), None);
         assert!(matches!(lines.next_line(), LineRead::Oversized));
         assert!(matches!(lines.next_line(), LineRead::Eof));
-        assert_eq!(counter.load(Ordering::Relaxed), 9000);
+        assert_eq!(counters.read_bytes.load(Ordering::Relaxed), 9000);
     }
 
     /// The pre-reply deadline recheck: an ok answer that went stale on
@@ -1892,7 +1825,9 @@ mod tests {
     #[test]
     fn finalize_converts_stale_ok_replies_to_timeouts() {
         let shared = Shared::new(&ServeConfig::default(), Arc::default()).unwrap();
-        shared.ok.fetch_add(1, Ordering::Relaxed); // as `answer` counted it
+        let oks = || shared.counters.responses_ok.load(Ordering::Relaxed);
+        let timeouts = || shared.counters.timeouts.load(Ordering::Relaxed);
+        shared.ok(); // as `answer` counted it
         let past = Some(Instant::now() - Duration::from_millis(1));
         let ok = Response { id: 7, body: ResponseBody::Sessions { sessions: Vec::new() } };
         let out = finalize(ok, 7, past, &shared);
@@ -1900,17 +1835,17 @@ mod tests {
             matches!(out.body, ResponseBody::Error { kind: ErrorKind::Timeout, .. }),
             "stale ok reply must become a timeout"
         );
-        assert_eq!(shared.ok.load(Ordering::Relaxed), 0, "the ok count is handed back");
-        assert_eq!(shared.timeouts.load(Ordering::Relaxed), 1);
+        assert_eq!(oks(), 0, "the ok count is handed back");
+        assert_eq!(timeouts(), 1);
 
         // An expired error reply keeps its kind (and its counter).
         let err = shared.error(8, ErrorKind::BadRequest, "nope");
         let out = finalize(err, 8, past, &shared);
         assert!(matches!(out.body, ResponseBody::Error { kind: ErrorKind::BadRequest, .. }));
-        assert_eq!(shared.timeouts.load(Ordering::Relaxed), 1);
+        assert_eq!(timeouts(), 1);
 
         // A live deadline (or none) leaves ok replies alone.
-        shared.ok.fetch_add(1, Ordering::Relaxed);
+        shared.ok();
         let future = Some(Instant::now() + Duration::from_secs(300));
         let ok = Response { id: 9, body: ResponseBody::Unloaded { session: "s".into() } };
         let out = finalize(ok, 9, future, &shared);
@@ -1918,7 +1853,7 @@ mod tests {
         let ok = Response { id: 10, body: ResponseBody::ShutdownAck };
         let out = finalize(ok, 10, None, &shared);
         assert!(matches!(out.body, ResponseBody::ShutdownAck));
-        assert_eq!(shared.ok.load(Ordering::Relaxed), 1);
+        assert_eq!(oks(), 1);
     }
 
     /// The connection cap admits through one atomic step: slots are
@@ -1989,6 +1924,23 @@ mod tests {
             b"precious data",
             "the file must be left intact"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The listener is renamed into place only once it listens: when
+    /// `Transport::unix` returns, the directory holds the public socket
+    /// alone, and it accepts a connect at once.
+    #[test]
+    fn unix_transport_listens_before_its_path_appears() {
+        let dir =
+            std::env::temp_dir().join(format!("dynslice-transport-ready-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("srv.sock");
+        let transport = Transport::unix(path.clone()).unwrap();
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(entries, std::slice::from_ref(&path), "no staging file is left behind");
+        UnixStream::connect(&path).expect("the public path accepts a connect");
+        drop(transport);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -37,16 +37,17 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use dynslice_graph::snapshot::{self, Snapshot, SnapshotError};
-use dynslice_graph::{build_compact, build_compact_parallel, CompactGraph};
+use dynslice_graph::{build_compact_parallel, CompactGraph};
 use dynslice_obs::{phases, Registry, SessionReport};
 use dynslice_slicing::{Criterion, Slicer as _};
 
 use crate::criteria::parse_input_tape;
 use crate::protocol::SessionInfo;
-use crate::{Algo, AnySlicer, Session, SlicerConfig};
+use crate::server::ServerCounters;
+use crate::{Algo, AnySlicer, Session, SlicerConfig, Trace};
 
-/// Least-recently-used slice cache keyed by criterion (one per session,
-/// plus one for the server's default trace).
+/// Least-recently-used slice cache keyed by criterion (one per
+/// [`SessionEntry`], the server's default trace included).
 pub(crate) struct LruCache {
     capacity: usize,
     seq: u64,
@@ -133,13 +134,29 @@ impl OwnedSlicer {
         config: &SlicerConfig,
         reg: &Registry,
     ) -> Result<Self, LoadError> {
-        let session =
-            Box::new(Session::compile(src).map_err(|d| LoadError::Bad(d.to_string()))?);
+        let session = Session::compile(src).map_err(|d| LoadError::Bad(d.to_string()))?;
         let trace = session.run(input);
+        Self::from_trace(session, &trace, algo, config, reg).map_err(LoadError::Io)
+    }
+
+    /// Builds the `algo` backend from a program compiled and traced
+    /// elsewhere (how `dynslice serve` wraps its launch trace), taking
+    /// ownership of the compiled program.
+    ///
+    /// # Errors
+    /// Disk-backed build failures.
+    pub fn from_trace(
+        session: Session,
+        trace: &Trace,
+        algo: Algo,
+        config: &SlicerConfig,
+        reg: &Registry,
+    ) -> io::Result<Self> {
+        let session = Box::new(session);
         // SAFETY: see the type-level invariants — the box gives `session`
         // a stable address, and `slicer` (declared first) drops before it.
         let forever: &'static Session = unsafe { &*(session.as_ref() as *const Session) };
-        let slicer = forever.build_slicer(algo, &trace, config, reg).map_err(LoadError::Io)?;
+        let slicer = forever.build_slicer(algo, trace, config, reg)?;
         Ok(OwnedSlicer { slicer, session })
     }
 
@@ -185,18 +202,14 @@ impl OwnedSlicer {
             Box::new(Session::compile(src).map_err(|d| LoadError::Bad(d.to_string()))?);
         let trace = session.run(input.clone());
         let graph = reg.time_phase(phases::GRAPH_BUILD, || {
-            if config.build_workers > 1 {
-                build_compact_parallel(
-                    &session.program,
-                    &session.analysis,
-                    &trace.events,
-                    &config.opt,
-                    config.build_workers,
-                    reg,
-                )
-            } else {
-                build_compact(&session.program, &session.analysis, &trace.events, &config.opt)
-            }
+            build_compact_parallel(
+                &session.program,
+                &session.analysis,
+                &trace.events,
+                &config.opt,
+                config.build_workers,
+                reg,
+            )
         });
         let snap =
             Snapshot { source: src.to_string(), input, config: config.opt.clone(), graph };
@@ -315,8 +328,10 @@ impl SessionSpec {
     }
 }
 
-/// One resident session: a built backend plus its result cache and
-/// usage counters.
+/// One session: a built backend plus its result cache and usage
+/// counters. Named sessions live in the [`SessionManager`]'s table; the
+/// server's default trace is an entry held outside it
+/// ([`SessionManager::default_entry`]).
 pub struct SessionEntry {
     name: String,
     slicer: OwnedSlicer,
@@ -339,6 +354,23 @@ pub struct SessionEntry {
 }
 
 impl SessionEntry {
+    fn new(name: String, slicer: OwnedSlicer, cache_capacity: usize) -> Self {
+        SessionEntry {
+            name,
+            resident_bytes: AtomicU64::new(slicer.slicer().resident_bytes()),
+            slicer,
+            cache: Mutex::new(LruCache::new(cache_capacity)),
+            requests: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
+            last_used: AtomicU64::new(0),
+            leases: AtomicU64::new(0),
+            lease_peak: AtomicU64::new(0),
+            conns: Mutex::new(BTreeSet::new()),
+        }
+    }
+
     /// The session's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -463,31 +495,6 @@ struct ManagerInner {
 /// Caught panics in one session's slicer before it is quarantined.
 pub const QUARANTINE_PANICS: u32 = 2;
 
-/// Lock-free mirror of the manager's session counts, refreshed under the
-/// manager lock on every mutation. The `health` op answers from detached
-/// reader threads that cannot borrow the manager (`'static` bound), so
-/// they read these through an [`Arc`] instead.
-#[derive(Debug, Default)]
-pub struct SessionGauges {
-    /// Resident session count.
-    pub resident: AtomicU64,
-    /// Asynchronous builds in flight (excluding replacement builds whose
-    /// old session still serves, matching `list`).
-    pub loading: AtomicU64,
-    /// Quarantined session count.
-    pub quarantined: AtomicU64,
-}
-
-impl SessionGauges {
-    fn sync(&self, inner: &ManagerInner) {
-        self.resident.store(inner.sessions.len() as u64, Ordering::SeqCst);
-        let loading =
-            inner.loading.keys().filter(|n| !inner.sessions.contains_key(*n)).count();
-        self.loading.store(loading as u64, Ordering::SeqCst);
-        self.quarantined.store(inner.quarantined.len() as u64, Ordering::SeqCst);
-    }
-}
-
 /// The outcome of [`SessionManager::unload`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Unload {
@@ -499,22 +506,6 @@ pub enum Unload {
     Loading,
     /// No session by that name (protocol `unknown_session`).
     Missing,
-}
-
-/// Aggregate session-lifecycle counters for the serve summary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionCounters {
-    /// Sessions admitted by `load` (including preloads and reloads).
-    pub loaded: u64,
-    /// Idle sessions evicted to make room under the memory budget or
-    /// session cap.
-    pub evicted: u64,
-    /// Sessions dropped by `unload` (including same-name replacement).
-    pub unloaded: u64,
-    /// Loads refused because eviction could not make room.
-    pub rejected: u64,
-    /// Sessions quarantined for repeated slicer panics.
-    pub quarantined: u64,
 }
 
 /// Owns the server's named sessions and enforces the residency policy.
@@ -534,12 +525,9 @@ pub struct SessionManager {
     /// [`Self::end_load`], a dropped [`LoadGuard`]), waking
     /// [`Self::wait_while_loading`].
     load_cleared: Condvar,
-    gauges: Arc<SessionGauges>,
-    loaded: AtomicU64,
-    evicted: AtomicU64,
-    unloaded: AtomicU64,
-    rejected: AtomicU64,
-    quarantines: AtomicU64,
+    /// The server's counter table: the manager writes its lifecycle and
+    /// residency counts here, under its lock.
+    counters: Arc<ServerCounters>,
 }
 
 const _: () = {
@@ -576,13 +564,36 @@ impl SessionManager {
                 quarantined: BTreeMap::new(),
             }),
             load_cleared: Condvar::new(),
-            gauges: Arc::new(SessionGauges::default()),
-            loaded: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            unloaded: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
+            counters: Arc::default(),
         }
+    }
+
+    /// The counter table this manager and the server count into.
+    pub fn server_counters(&self) -> &Arc<ServerCounters> {
+        &self.counters
+    }
+
+    /// Wraps `slicer` as an entry with this manager's result-cache
+    /// capacity, without admitting it: the caller holds it outside the
+    /// resident table. That is the server's default (launch) trace, which
+    /// takes no session slot or budget and is never listed, evicted or
+    /// quarantined.
+    pub fn default_entry(&self, slicer: OwnedSlicer) -> SessionEntry {
+        SessionEntry::new(String::new(), slicer, self.cache_capacity)
+    }
+
+    /// Publishes the resident set's levels into the counter table; run
+    /// under the manager lock after every change to it.
+    fn publish(&self, inner: &ManagerInner) {
+        let c = &*self.counters;
+        c.sessions_resident.store(inner.sessions.len() as u64, Ordering::SeqCst);
+        let bytes = inner.sessions.values().map(|e| e.resident_bytes()).sum();
+        c.sessions_resident_bytes.store(bytes, Ordering::SeqCst);
+        // A loading entry that shadows a resident name (a replacement
+        // build) is not counted twice, matching `list`.
+        let loading = inner.loading.keys().filter(|n| !inner.sessions.contains_key(*n)).count();
+        c.sessions_loading.store(loading as u64, Ordering::SeqCst);
+        c.quarantined_now.store(inner.quarantined.len() as u64, Ordering::SeqCst);
     }
 
     /// The manager lock, recovering from poisoning. Each mutation under
@@ -703,11 +714,15 @@ impl SessionManager {
     /// once admission is certain).
     pub fn load(&self, spec: &SessionSpec, reg: &Registry) -> Result<Arc<SessionEntry>, LoadError> {
         let algo = spec.algo.unwrap_or(self.default_algo);
-        let slicer = self.build_backend(spec, algo, reg)?;
-        let resident_bytes = slicer.slicer().resident_bytes();
+        let entry = Arc::new(SessionEntry::new(
+            spec.name.clone(),
+            self.build_backend(spec, algo, reg)?,
+            self.cache_capacity,
+        ));
+        let resident_bytes = entry.resident_bytes();
         if let Some(budget) = self.memory_budget {
             if resident_bytes > budget {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
+                self.counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(LoadError::Rejected(format!(
                     "session `{}` needs {resident_bytes} resident bytes, over the \
                      {budget}-byte budget",
@@ -715,21 +730,6 @@ impl SessionManager {
                 )));
             }
         }
-        let entry = Arc::new(SessionEntry {
-            name: spec.name.clone(),
-            slicer,
-            resident_bytes: AtomicU64::new(resident_bytes),
-            cache: Mutex::new(LruCache::new(self.cache_capacity)),
-            requests: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            last_used: AtomicU64::new(0),
-            leases: AtomicU64::new(0),
-            lease_peak: AtomicU64::new(0),
-            conns: Mutex::new(BTreeSet::new()),
-        });
-
         let mut inner = self.locked();
         // Re-weigh the resident set before planning: paged backends grow
         // as queries page blocks in, so admission must never trust the
@@ -767,7 +767,9 @@ impl SessionManager {
             };
             while over(count, bytes) {
                 let Some(victim) = idle_lru(&inner, &victims) else {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    // The re-weighing above may have moved the total.
+                    self.publish(&inner);
+                    self.counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
                     return Err(LoadError::Rejected(format!(
                         "cannot admit session `{}` ({resident_bytes} resident bytes): \
                          every resident session is busy",
@@ -785,12 +787,12 @@ impl SessionManager {
             let gone = inner.sessions.remove(&victim).expect("planned victim is resident");
             let report = gone.report(true);
             inner.retired.push((victim, report));
-            self.evicted.fetch_add(1, Ordering::Relaxed);
+            self.counters.sessions_evicted.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(old) = inner.sessions.remove(&spec.name) {
             let report = old.report(false);
             inner.retired.push((spec.name.clone(), report));
-            self.unloaded.fetch_add(1, Ordering::Relaxed);
+            self.counters.sessions_unloaded.fetch_add(1, Ordering::Relaxed);
         }
         inner.lru_seq += 1;
         entry.last_used.store(inner.lru_seq, Ordering::SeqCst);
@@ -804,8 +806,8 @@ impl SessionManager {
         // with a clean panic record.
         inner.quarantined.remove(&spec.name);
         inner.panics.remove(&spec.name);
-        self.loaded.fetch_add(1, Ordering::Relaxed);
-        self.gauges.sync(&inner);
+        self.counters.sessions_loaded.fetch_add(1, Ordering::Relaxed);
+        self.publish(&inner);
         Ok(entry)
     }
 
@@ -821,7 +823,7 @@ impl SessionManager {
             return false;
         }
         inner.loading.insert(name.to_string(), algo.unwrap_or(self.default_algo));
-        self.gauges.sync(&inner);
+        self.publish(&inner);
         true
     }
 
@@ -831,7 +833,7 @@ impl SessionManager {
     pub fn end_load(&self, name: &str) {
         let mut inner = self.locked();
         inner.loading.remove(name);
-        self.gauges.sync(&inner);
+        self.publish(&inner);
         self.load_cleared.notify_all();
     }
 
@@ -903,30 +905,14 @@ impl SessionManager {
             None => (self.default_algo.name().to_string(), 0),
         };
         inner.quarantined.insert(name.to_string(), (algo, requests));
-        self.quarantines.fetch_add(1, Ordering::Relaxed);
-        self.gauges.sync(&inner);
+        self.counters.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
+        self.publish(&inner);
         true
     }
 
     /// Whether `name` is quarantined (refusing queries until re-loaded).
     pub fn is_quarantined(&self, name: &str) -> bool {
         self.locked().quarantined.contains_key(name)
-    }
-
-    /// The lock-free gauge mirror, for readers (the `health` op's
-    /// detached connection threads) that cannot borrow the manager.
-    pub fn gauges(&self) -> Arc<SessionGauges> {
-        Arc::clone(&self.gauges)
-    }
-
-    /// Resident / still-loading / quarantined session counts, for the
-    /// `health` probe.
-    pub fn health_counts(&self) -> (u64, u64, u64) {
-        let inner = self.locked();
-        // A loading entry that shadows a resident name (a replacement
-        // build) is not counted twice, matching `list`.
-        let loading = inner.loading.keys().filter(|n| !inner.sessions.contains_key(*n)).count();
-        (inner.sessions.len() as u64, loading as u64, inner.quarantined.len() as u64)
     }
 
     /// Re-weighs every resident session and evicts idle sessions
@@ -959,10 +945,10 @@ impl SessionManager {
             let gone = inner.sessions.remove(&victim).expect("victim is resident");
             let report = gone.report(true);
             inner.retired.push((victim, report));
-            self.evicted.fetch_add(1, Ordering::Relaxed);
+            self.counters.sessions_evicted.fetch_add(1, Ordering::Relaxed);
             evicted += 1;
         }
-        self.gauges.sync(&inner);
+        self.publish(&inner);
         evicted
     }
 
@@ -1001,16 +987,16 @@ impl SessionManager {
                 let report = entry.report(false);
                 inner.retired.push((name.to_string(), report));
                 inner.panics.remove(name);
-                self.unloaded.fetch_add(1, Ordering::Relaxed);
-                self.gauges.sync(&inner);
+                self.counters.sessions_unloaded.fetch_add(1, Ordering::Relaxed);
+                self.publish(&inner);
                 Unload::Unloaded
             }
             // Unloading a quarantined name clears the marker: it is
             // listed, so a client can tear it down like any session.
             None if inner.quarantined.remove(name).is_some() => {
                 inner.panics.remove(name);
-                self.unloaded.fetch_add(1, Ordering::Relaxed);
-                self.gauges.sync(&inner);
+                self.counters.sessions_unloaded.fetch_add(1, Ordering::Relaxed);
+                self.publish(&inner);
                 Unload::Unloaded
             }
             None => Unload::Missing,
@@ -1084,29 +1070,6 @@ impl SessionManager {
         }
         out
     }
-
-    /// Lifecycle counters for the serve summary.
-    pub fn counters(&self) -> SessionCounters {
-        SessionCounters {
-            loaded: self.loaded.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            unloaded: self.unloaded.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            quarantined: self.quarantines.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Emits the `server.sessions_*` residency gauges into `reg`. The
-    /// lifecycle counters ride along in the serve summary (via
-    /// [`Self::counters`]), which owns the `server.*` counter emission.
-    pub fn record_metrics(&self, reg: &Registry) {
-        let inner = self.locked();
-        reg.gauge_set("server.sessions_resident", inner.sessions.len() as f64);
-        reg.gauge_set(
-            "server.sessions_resident_bytes",
-            inner.sessions.values().map(|e| e.resident_bytes() as f64).sum(),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1168,6 +1131,10 @@ mod tests {
             ..SlicerConfig::default()
         };
         SessionManager::new(Algo::Paged, config, max, budget, 16)
+    }
+
+    fn evicted(m: &SessionManager) -> u64 {
+        m.server_counters().sessions_evicted.load(Ordering::Relaxed)
     }
 
     fn spec(name: &str, program: &std::path::Path) -> SessionSpec {
@@ -1247,8 +1214,10 @@ mod tests {
         assert_eq!(m.unload("a"), Unload::Unloaded);
         assert_eq!(m.unload("a"), Unload::Missing, "second unload finds nothing");
         assert!(m.checkout("a", 0).is_none());
-        let c = m.counters();
-        assert_eq!((c.loaded, c.unloaded, c.evicted, c.rejected), (1, 1, 0, 0));
+        let c = m.server_counters();
+        let n = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let counts = (n(&c.sessions_loaded), n(&c.sessions_unloaded), n(&c.sessions_evicted));
+        assert_eq!((counts, n(&c.sessions_rejected)), ((1, 1, 0), 0));
         let reports = m.final_reports();
         assert!(reports.contains_key("a"), "retired sessions still report");
         std::fs::remove_dir_all(&dir).ok();
@@ -1267,7 +1236,7 @@ mod tests {
         m.load(&spec("b", &program), &reg).unwrap();
         assert!(m.checkout("a", 0).is_none(), "a was evicted to admit b");
         assert!(m.checkout("b", 0).is_some());
-        assert_eq!(m.counters().evicted, 1);
+        assert_eq!(evicted(&m), 1);
         // A pinned session cannot be evicted: the load is rejected and
         // the resident set is untouched.
         let lease = m.checkout("b", 0).unwrap();
@@ -1280,7 +1249,7 @@ mod tests {
         // Idle again: the reload works and evicts LRU `b`.
         m.load(&spec("c", &program), &reg).unwrap();
         assert!(m.checkout("c", 0).is_some());
-        assert_eq!(m.counters().evicted, 2);
+        assert_eq!(evicted(&m), 2);
         let reports = m.final_reports();
         assert_eq!(reports["a"].gauges.get("evicted"), Some(&1.0));
         std::fs::remove_dir_all(&dir).ok();
@@ -1311,7 +1280,7 @@ mod tests {
         drop(lease);
         assert_eq!(m.enforce_budget(), 1, "idle over-budget session is evicted");
         assert!(m.checkout("p", 0).is_none());
-        assert_eq!(m.counters().evicted, 1);
+        assert_eq!(evicted(&m), 1);
         let reports = m.final_reports();
         assert_eq!(reports["p"].gauges.get("evicted"), Some(&1.0));
         assert!(
@@ -1348,7 +1317,7 @@ mod tests {
         m.load(&spec("q", &program), &reg).unwrap();
         assert!(m.checkout("p", 0).is_none(), "grown p was evicted to fit q");
         assert!(m.checkout("q", 0).is_some());
-        assert_eq!(m.counters().evicted, 1);
+        assert_eq!(evicted(&m), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1444,9 +1413,9 @@ mod tests {
         // Reloading a resident name replaces in place, no eviction.
         m.load(&spec("b", &program), &reg).unwrap();
         assert_eq!(m.list().len(), 2);
-        let c = m.counters();
-        assert_eq!(c.evicted, 1);
-        assert_eq!(c.unloaded, 1, "replacement retires the old `b`");
+        assert_eq!(evicted(&m), 1);
+        let unloaded = m.server_counters().sessions_unloaded.load(Ordering::Relaxed);
+        assert_eq!(unloaded, 1, "replacement retires the old `b`");
         let reports = m.final_reports();
         assert!(reports.contains_key("b"), "live b");
         assert!(reports.contains_key("b#2"), "retired b keeps reporting under a suffix");
@@ -1648,10 +1617,10 @@ mod tests {
         let listed = m.list();
         assert_eq!(listed.len(), 1);
         assert!(listed[0].quarantined && !listed[0].loading);
-        assert_eq!(m.counters().quarantined, 1);
-        let (resident, _, quarantined) = m.health_counts();
-        assert_eq!((resident, quarantined), (0, 1));
-        assert_eq!(m.gauges().quarantined.load(Ordering::SeqCst), 1);
+        let c = m.server_counters();
+        assert_eq!(c.sessions_quarantined.load(Ordering::Relaxed), 1);
+        let resident = c.sessions_resident.load(Ordering::SeqCst);
+        assert_eq!((resident, c.quarantined_now.load(Ordering::SeqCst)), (0, 1));
 
         // Re-loading the name is the quarantine exit — and it resets the
         // panic count, so the fresh backend gets a full allowance again.

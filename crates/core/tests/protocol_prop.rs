@@ -62,7 +62,6 @@ proptest! {
         id in 0u64..MAX_EXACT,
         session in text(0..8),
         criterion in text(1..16),
-        delay_ms in 0u64..MAX_EXACT,
         wait_bit in 0u8..2,
     ) {
         let request = Request {
@@ -75,7 +74,6 @@ proptest! {
             snapshot: None,
             input: None,
             algo: None,
-            delay_ms,
             wait: wait_bit == 1,
             proto: None,
         };
@@ -108,7 +106,6 @@ proptest! {
                 Some(input.iter().map(ToString::to_string).collect::<Vec<_>>().join(","))
             },
             algo: algos.get(algo_pick).map(|a| (*a).to_string()),
-            delay_ms: 0,
             wait: wait_bit == 1,
             proto: None,
         };

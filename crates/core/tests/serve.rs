@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use dynslice::protocol::{ErrorKind, Request, Response, ResponseBody};
 use dynslice::{
-    serve, Algo, Criterion, OptConfig, Registry, RunReport, ServeConfig, Session, SessionManager,
-    SliceClient, Slicer as _, SlicerConfig, Transport,
+    serve, Algo, Criterion, OptConfig, OwnedSlicer, Registry, RunReport, ServeConfig, Session,
+    SessionManager, SliceClient, Slicer as _, SlicerConfig, Transport,
 };
 
 const PROGRAM: &str = "
@@ -251,6 +251,9 @@ fn slow_query_times_out_while_others_complete() {
             "2",
             "--timeout-ms",
             "100",
+            // The slow query is the first job a worker picks up.
+            "--fault-plan",
+            "request:delay=500ms@1",
         ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -258,23 +261,36 @@ fn slow_query_times_out_while_others_complete() {
         .spawn()
         .expect("spawn dynslice serve");
 
+    let mut by_id = BTreeMap::new();
     {
         let mut stdin = child.stdin.take().unwrap();
-        let mut slow = Request::slice(1, &Criterion::Output(0));
-        slow.delay_ms = 5_000;
-        writeln!(stdin, "{}", slow.to_json()).unwrap();
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut next = || {
+            let mut line = String::new();
+            assert!(stdout.read_line(&mut line).unwrap() > 0, "server closed early");
+            Response::parse(line.trim_end()).unwrap()
+        };
+        writeln!(stdin, "{}", Request::slice(1, &Criterion::Output(0)).to_json()).unwrap();
+        // The fast query goes out only once `health` shows the slow one
+        // dequeued, so the delay cannot land on it.
+        for poll in 100.. {
+            writeln!(stdin, "{}", Request::health(poll).to_json()).unwrap();
+            let reply = next();
+            if matches!(reply.body, ResponseBody::Health { queue_depth: 0, .. }) {
+                break;
+            }
+            by_id.insert(reply.id, reply.body);
+        }
         writeln!(stdin, "{}", Request::slice(2, &Criterion::Output(1)).to_json()).unwrap();
+        while !(by_id.contains_key(&1) && by_id.contains_key(&2)) {
+            let reply = next();
+            by_id.insert(reply.id, reply.body);
+        }
         // Dropping stdin is the stdio transport's graceful shutdown.
     }
 
     let out = wait_for_exit(child, Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-
-    let mut by_id = std::collections::BTreeMap::new();
-    for line in BufReader::new(&out.stdout[..]).lines() {
-        let response = Response::parse(&line.unwrap()).unwrap();
-        by_id.insert(response.id, response.body);
-    }
     match &by_id[&1] {
         ResponseBody::Error { kind, .. } => assert_eq!(*kind, ErrorKind::Timeout),
         other => panic!("slow query should time out, got {other:?}"),
@@ -1131,6 +1147,10 @@ fn spawn_tcp_server(dir: &Path, extra: &[&str]) -> (Child, String) {
 struct RawTcp {
     reader: BufReader<std::net::TcpStream>,
     writer: std::net::TcpStream,
+    /// Bytes written to the server so far (newlines included).
+    sent: u64,
+    /// Bytes read from the server so far (newlines included).
+    received: u64,
 }
 
 impl RawTcp {
@@ -1138,19 +1158,22 @@ impl RawTcp {
         let stream = std::net::TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let writer = stream.try_clone().unwrap();
-        RawTcp { reader: BufReader::new(stream), writer }
+        RawTcp { reader: BufReader::new(stream), writer, sent: 0, received: 0 }
     }
 
     fn send(&mut self, line: &str) {
         writeln!(self.writer, "{line}").unwrap();
+        self.sent += line.len() as u64 + 1;
     }
 
     /// The next response line, or `None` on a clean EOF.
     fn read_response(&mut self) -> Option<Response> {
         let mut line = String::new();
-        if self.reader.read_line(&mut line).unwrap() == 0 {
+        let n = self.reader.read_line(&mut line).unwrap();
+        if n == 0 {
             return None;
         }
+        self.received += n as u64;
         Some(Response::parse(line.trim_end()).unwrap())
     }
 
@@ -1347,16 +1370,22 @@ fn tcp_max_connections_answers_busy() {
 #[test]
 fn tcp_shutdown_mid_request_sends_shutting_down() {
     let dir = work_dir("tcp-shutdown");
-    let (child, addr) = spawn_tcp_server(&dir, &["--workers", "1"]);
+    let (child, addr) =
+        spawn_tcp_server(&dir, &["--workers", "1", "--fault-plan", "request:delay=700ms@1"]);
 
     let mut slow = RawTcp::connect(&addr);
     slow.hello();
-    let mut request = Request::slice(41, &Criterion::Output(0));
-    request.delay_ms = 700;
-    slow.send(&request.to_json());
-    // Let the worker pick the slow job up before asking for shutdown.
-    std::thread::sleep(Duration::from_millis(150));
-
+    slow.send(&Request::slice(41, &Criterion::Output(0)).to_json());
+    // Ask for shutdown once the worker has picked the slow job up: the
+    // connection's own `health` is answered after its slice is queued.
+    loop {
+        slow.send(&Request::health(42).to_json());
+        match slow.read_response().expect("health answered").body {
+            ResponseBody::Health { queue_depth: 0, .. } => break,
+            ResponseBody::Health { .. } => std::thread::sleep(Duration::from_millis(2)),
+            other => panic!("health answered {other:?}"),
+        }
+    }
     let mut closer = SliceClient::builder().tcp(addr).connect().unwrap();
     assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
 
@@ -1644,17 +1673,19 @@ fn serve_releases_its_listeners_when_it_returns() {
     std::fs::remove_file(&alias).ok();
     let session = Session::compile(PROGRAM).unwrap();
     let trace = session.run(INPUT_VALUES.to_vec());
-    let opt = session.opt(&trace, &OptConfig::default());
-    let manager = SessionManager::new(Algo::Opt, SlicerConfig::default(), 4, None, 16);
+    let reg = Registry::disabled();
+    let config = SlicerConfig::default();
+    let opt = OwnedSlicer::from_trace(session, &trace, Algo::Opt, &config, &reg).unwrap();
+    let manager = SessionManager::new(Algo::Opt, config, 4, None, 16);
+    let default = manager.default_entry(opt);
     let tcp = Transport::tcp("127.0.0.1:0").unwrap();
     let addr = tcp.local_addr().unwrap();
     let unix = Transport::unix(socket.clone()).unwrap();
     std::fs::hard_link(&socket, &alias).unwrap();
-    let reg = Registry::disabled();
 
     std::thread::scope(|scope| {
-        let server =
-            scope.spawn(|| serve(&opt, &manager, &ServeConfig::default(), vec![tcp, unix], &reg));
+        let server = scope
+            .spawn(|| serve(&default, &manager, &ServeConfig::default(), vec![tcp, unix], &reg));
         // Both listeners serve; the Unix connection stays open (and idle)
         // across the shutdown.
         let _idle_unix = UnixStream::connect(&alias).expect("the alias reaches the listener");
@@ -1695,4 +1726,232 @@ fn one_shot_dials_are_answered_without_an_accept_delay() {
     assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
     let out = wait_for_exit(child, Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// The `--metrics-json` report's server section, pinned: one scripted TCP
+/// session touches every `server.*`/`net.*` key, and the report must hold
+/// exactly those keys, each as the kind (counter or gauge) it has always
+/// been, with the values the script implies. A final `health` reply must
+/// agree with the report's `server.panics` and `server.sessions_resident`.
+#[test]
+fn report_pins_every_server_counter() {
+    // Long enough that its paged graph spills pages the first slice must
+    // read back (and so reach the `paged_read` fault point); its OPT
+    // build is far over the memory budget below.
+    const LOOPY: &str = "
+        global int a[1];
+
+        fn main() {
+            int i;
+            for (i = 0; i < 3000; i = i + 1) { a[0] = a[0] + i; }
+            print a[0];
+        }";
+    let dir = work_dir("report-pin");
+    let doubler = write_program_b(&dir);
+    let doubler = doubler.to_str().unwrap();
+    let loopy = dir.join("loopy.minic");
+    std::fs::write(&loopy, LOOPY).unwrap();
+    let loopy = loopy.to_str().unwrap();
+    let report = dir.join("report.json");
+    let (child, addr) = spawn_tcp_server(
+        &dir,
+        &[
+            "--workers",
+            "1",
+            "--loaders",
+            "1",
+            "--queue-depth",
+            "1",
+            "--timeout-ms",
+            "500",
+            "--max-connections",
+            "2",
+            "--max-line-bytes",
+            "512",
+            "--max-sessions",
+            "1",
+            // ~20 KiB: every doubler and the paged loop fit, the OPT loop
+            // (~70 KiB) does not.
+            "--memory-budget-mb",
+            "0.02",
+            // One resident label page keeps the paged session well inside
+            // the budget after its slice pages labels in.
+            "--resident-blocks",
+            "1",
+            "--fault-plan",
+            // `request` fires once per job a worker picks up: jobs 5 and 6
+            // are the two slices against `d1`, job 15 is the slow slice.
+            "request:panic@5,request:panic@6,request:delay=1000ms@15,paged_read:err@1",
+            "--metrics-json",
+            report.to_str().unwrap(),
+        ],
+    );
+
+    let mut a = RawTcp::connect(&addr);
+    let ask = |a: &mut RawTcp, line: String| -> ResponseBody {
+        a.send(&line);
+        a.read_response().expect("answered").body
+    };
+    let kind = |body: &ResponseBody| match body {
+        ResponseBody::Error { kind, .. } => Some(*kind),
+        _ => None,
+    };
+    let out0 = Criterion::Output(0);
+    assert!(matches!(ask(&mut a, Request::hello(1, 1).to_json()), ResponseBody::Hello { .. }));
+    match ask(&mut a, Request::health(2).to_json()) {
+        ResponseBody::Health { status, sessions, panics, .. } => {
+            assert_eq!((status.as_str(), sessions, panics), ("ok", 0, 0));
+        }
+        other => panic!("health answered {other:?}"),
+    }
+    // The default trace: a miss, a hit, an unknown criterion.
+    let first = ask(&mut a, Request::slice(3, &out0).to_json());
+    assert!(matches!(first, ResponseBody::Slice { cached: false, .. }), "{first:?}");
+    let second = ask(&mut a, Request::slice(4, &out0).to_json());
+    assert!(matches!(second, ResponseBody::Slice { cached: true, .. }), "{second:?}");
+    let unknown = ask(&mut a, Request::slice(5, &Criterion::Output(99)).to_json());
+    assert_eq!(kind(&unknown), Some(ErrorKind::UnknownCriterion));
+    // A malformed line and an oversized one.
+    assert_eq!(kind(&ask(&mut a, "not json".into())), Some(ErrorKind::BadRequest));
+    let oversized = format!("{{\"pad\":\"{}\"}}", "x".repeat(1024));
+    assert_eq!(kind(&ask(&mut a, oversized)), Some(ErrorKind::Oversized));
+    // Two panics quarantine `d1`.
+    let load = |id, name: &str, program: &str, algo| {
+        Request::load(id, name, program, INPUT_B, algo).to_json()
+    };
+    assert!(matches!(ask(&mut a, load(8, "d1", doubler, None)), ResponseBody::Loaded { .. }));
+    for id in [9, 10] {
+        let panicked = ask(&mut a, Request::slice_in(id, "d1", &out0).to_json());
+        assert_eq!(kind(&panicked), Some(ErrorKind::Internal), "{panicked:?}");
+    }
+    // `d2` is admitted, the OPT loop is over budget, and the paged loop
+    // evicts `d2` (one session at most), answers through a retried page
+    // read, and is unloaded.
+    assert!(matches!(ask(&mut a, load(11, "d2", doubler, None)), ResponseBody::Loaded { .. }));
+    let over = ask(&mut a, load(12, "big", loopy, None));
+    assert_eq!(kind(&over), Some(ErrorKind::OverBudget), "{over:?}");
+    let paged = ask(&mut a, load(13, "p", loopy, Some("paged")));
+    assert!(matches!(paged, ResponseBody::Loaded { .. }), "{paged:?}");
+    let sliced = ask(&mut a, Request::slice_in(14, "p", &out0).to_json());
+    assert!(matches!(sliced, ResponseBody::Slice { cached: false, .. }), "{sliced:?}");
+    let unloaded = ask(&mut a, Request::unload(15, "p").to_json());
+    assert!(matches!(unloaded, ResponseBody::Unloaded { .. }), "{unloaded:?}");
+    // An asynchronous load, waited on by the next slice.
+    let loading = Request::load_async(16, "d3", doubler, INPUT_B, None).to_json();
+    assert!(matches!(ask(&mut a, loading), ResponseBody::Loading { .. }));
+    let waited = Request { wait: true, ..Request::slice_in(17, "d3", &out0) }.to_json();
+    assert!(matches!(ask(&mut a, waited), ResponseBody::Slice { cached: false, .. }));
+    let resident_bytes = match ask(&mut a, Request::list(18).to_json()) {
+        ResponseBody::Sessions { sessions } => {
+            assert_eq!(sessions.len(), 2, "d3 resident, d1 quarantined: {sessions:?}");
+            sessions.iter().map(|s| s.resident_bytes).sum::<u64>()
+        }
+        other => panic!("list answered {other:?}"),
+    };
+
+    // The slow slice holds the only worker for 1 s: once `health` shows
+    // it dequeued, one request fills the one-slot queue and the next is
+    // rejected. Both the slow slice and the queued one outlive the
+    // 500 ms deadline.
+    a.send(&Request::slice(19, &out0).to_json());
+    let mut replies = BTreeMap::new();
+    let mut polls = 0;
+    loop {
+        polls += 1;
+        a.send(&Request::health(100 + polls).to_json());
+        let reply = a.read_response().expect("health answered");
+        match reply.body {
+            ResponseBody::Health { queue_depth: 0, .. } => break,
+            ResponseBody::Health { .. } => std::thread::sleep(Duration::from_millis(2)),
+            other => panic!("health poll answered {other:?}"),
+        }
+    }
+    a.send(&Request::slice(20, &Criterion::Output(1)).to_json());
+    a.send(&Request::slice(21, &Criterion::Output(2)).to_json());
+    while replies.len() < 3 {
+        let reply = a.read_response().expect("answered");
+        replies.insert(reply.id, reply.body);
+    }
+    assert_eq!(kind(&replies[&19]), Some(ErrorKind::Timeout), "{:?}", replies[&19]);
+    assert_eq!(kind(&replies[&20]), Some(ErrorKind::Timeout), "{:?}", replies[&20]);
+    assert_eq!(kind(&replies[&21]), Some(ErrorKind::Rejected), "{:?}", replies[&21]);
+
+    // A second connection fills the cap; a third bounces off it.
+    let mut b = RawTcp::connect(&addr);
+    b.hello();
+    let mut c = RawTcp::connect(&addr);
+    assert_eq!(kind(&c.read_response().expect("busy").body), Some(ErrorKind::Busy));
+    assert!(c.read_response().is_none());
+    let (health_panics, health_sessions) = match ask(&mut a, Request::health(40).to_json()) {
+        ResponseBody::Health {
+            status, sessions, loading, quarantined, panics, retries, ..
+        } => {
+            assert_eq!(status, "degraded");
+            assert_eq!((loading, quarantined, retries), (0, 1, 1));
+            (panics, sessions)
+        }
+        other => panic!("health answered {other:?}"),
+    };
+    b.send(&Request::shutdown(50).to_json());
+    assert!(matches!(b.read_response().expect("ack").body, ResponseBody::ShutdownAck));
+    assert!(b.read_response().is_none());
+    let farewell = a.read_response().expect("farewell");
+    assert_eq!(kind(&farewell.body), Some(ErrorKind::ShuttingDown));
+    assert!(a.read_response().is_none());
+    let out = wait_for_exit(child, Duration::from_secs(30));
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let parsed = RunReport::from_json(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let ours = |k: &&String| k.starts_with("server.") || k.starts_with("net.");
+    let counters: BTreeMap<&str, u64> =
+        parsed.counters.iter().filter(|(k, _)| ours(k)).map(|(k, v)| (k.as_str(), *v)).collect();
+    let gauges: BTreeMap<&str, f64> =
+        parsed.gauges.iter().filter(|(k, _)| ours(k)).map(|(k, v)| (k.as_str(), *v)).collect();
+    // 22 lines on `a` besides the polls, plus b's hello and shutdown.
+    let requests = 24 + polls;
+    // Every answer but the errors (9 of them on `a`) and the shutdown ack
+    // is an ok: a's answers, the polls, and b's hello.
+    let ok = 14 + polls;
+    let expected_counters: BTreeMap<&str, u64> = [
+        ("server.requests", requests),
+        ("server.responses_ok", ok),
+        ("server.cache_hits", 1),
+        ("server.cache_misses", 3),
+        ("server.timeouts", 2),
+        ("server.rejected", 1),
+        ("server.bad_requests", 1),
+        // Unknown criterion, two panics, the over-budget load.
+        ("server.failed", 4),
+        ("server.connections", 2),
+        ("server.rejected_busy", 1),
+        ("server.handshakes", 2),
+        ("server.oversized", 1),
+        ("net.read_bytes", a.sent + b.sent + c.sent),
+        ("net.write_bytes", a.received + b.received + c.received),
+        ("server.sessions_loaded", 4),
+        ("server.sessions_evicted", 1),
+        ("server.sessions_unloaded", 1),
+        ("server.sessions_rejected", 1),
+        ("server.sessions_quarantined", 1),
+        ("server.panics", 2),
+        ("server.retries", 1),
+    ]
+    .into_iter()
+    .collect();
+    assert_eq!(counters, expected_counters);
+    let expected_gauges: BTreeMap<&str, f64> = [
+        ("server.connections_peak", 2.0),
+        ("server.in_flight_peak", 1.0),
+        ("server.queue_peak", 1.0),
+        ("server.load_queue_peak", 1.0),
+        ("server.sessions_resident", 1.0),
+        ("server.sessions_resident_bytes", resident_bytes as f64),
+        ("server.workers", 1.0),
+        ("server.loaders", 1.0),
+    ]
+    .into_iter()
+    .collect();
+    assert_eq!(gauges, expected_gauges);
+    assert_eq!(health_panics, counters["server.panics"]);
+    assert_eq!(health_sessions as f64, gauges["server.sessions_resident"]);
 }
