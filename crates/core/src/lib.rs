@@ -330,11 +330,17 @@ impl AnySlicer<'_> {
     /// Bytes this backend keeps resident in memory between queries — the
     /// weight the slice server's memory budget charges a session for.
     /// Disk-resident payloads (the LP record stream, the paged spill
-    /// file) are excluded: only what occupies RAM counts.
+    /// file) are excluded: only what occupies RAM counts. OPT and paged
+    /// charge the shortcut closures materialized so far, not every
+    /// closure the graph could build: weighing never materializes one,
+    /// and [`crate::sessions::SessionEntry::reweigh`] tracks the memo's
+    /// growth under one rule for both.
     pub fn resident_bytes(&self) -> u64 {
         match self {
             AnySlicer::Fp(fp) => fp.graph().size().bytes(),
-            AnySlicer::Opt(o) => o.graph().size(o.shortcuts).bytes(),
+            AnySlicer::Opt(o) => {
+                o.graph().size(false).bytes() + o.graph().materialized_shortcut_bytes()
+            }
             AnySlicer::Lp(lp) => lp.file().index_bytes() as u64,
             AnySlicer::Forward(f) => f.resident_bytes(),
             AnySlicer::Paged(p) => p.resident_bytes(),

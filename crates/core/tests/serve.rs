@@ -538,10 +538,12 @@ fn concurrent_clients_interleave_session_lifecycles() {
 #[test]
 fn memory_budget_evicts_idle_sessions_lru_first() {
     let dir = work_dir("evict");
+    // Two sessions of one program: a session's weight grows by the
+    // shortcut closures its slices materialize, by more than the whole
+    // of the small doubler program, so "either fits alone, warm, but not
+    // two" needs two sessions of one size.
     let classify = write_program(&dir);
-    let doubler = write_program_b(&dir);
     let classify_str = classify.to_str().unwrap();
-    let doubler_str = doubler.to_str().unwrap();
     let base = |extra: &[String]| -> Vec<String> {
         let mut args: Vec<String> =
             ["serve", classify_str, "--algo", "opt", "--input", INPUT, "--workers", "1"]
@@ -553,12 +555,24 @@ fn memory_budget_evicts_idle_sessions_lru_first() {
     };
 
     // Discovery run: ask the server itself how many bytes each session
-    // keeps resident (builds are deterministic, so the sizes transfer).
+    // keeps resident, cold (the load ack) and after the slices the main
+    // run asks of it — a session's weight grows by the shortcut closures
+    // its slices materialize. Builds and walks are deterministic, so the
+    // sizes transfer. A budget far above both makes the server re-weigh
+    // after every slice, so `list` shows the grown weight.
     let sizes = run_stdio_script(
-        &base(&[]),
+        &base(&["--memory-budget-mb".into(), "1024".into()]),
         &[
             Request::load(1, "s_a", classify_str, INPUT_VALUES, None),
-            Request::load(2, "s_b", doubler_str, INPUT_B, None),
+            Request::slice_in(2, "s_a", &Criterion::Output(0)),
+            Request::list(3),
+            Request::load(4, "s_b", classify_str, INPUT_VALUES, None),
+            Request::slice_in(5, "s_b", &Criterion::Output(0)),
+            Request::list(6),
+            // A fresh s_a, as the main run re-loads it.
+            Request::load(7, "s_a", classify_str, INPUT_VALUES, None),
+            Request::slice_in(8, "s_a", &Criterion::Output(1)),
+            Request::list(9),
         ],
     );
     let resident = |body: &ResponseBody| -> u64 {
@@ -567,11 +581,25 @@ fn memory_budget_evicts_idle_sessions_lru_first() {
             other => panic!("discovery load answered {other:?}"),
         }
     };
+    let listed = |id: u64, name: &str| -> u64 {
+        match &sizes[&id] {
+            ResponseBody::Sessions { sessions } => {
+                sessions.iter().find(|s| s.name == name).expect("listed").resident_bytes
+            }
+            other => panic!("discovery list answered {other:?}"),
+        }
+    };
     let bytes_a = resident(&sizes[&1]);
-    let bytes_b = resident(&sizes[&2]);
+    let bytes_b = resident(&sizes[&4]);
+    let warm_a0 = listed(3, "s_a");
+    let warm_b0 = listed(6, "s_b");
+    let warm_a1 = listed(9, "s_a");
+    assert!(warm_a0 > bytes_a, "a slice materializes shortcut closures");
 
-    // Either session fits alone; the two together exceed the budget.
-    let budget = bytes_a.max(bytes_b) + bytes_a.min(bytes_b) / 2;
+    // Either session fits alone, even grown by its slices; a grown one
+    // and a cold one together exceed the budget.
+    let budget = (warm_a0 + bytes_b).min(warm_b0 + bytes_a) - 1;
+    assert!(warm_a0.max(warm_b0).max(warm_a1) <= budget, "a session does not fit alone");
     let budget_mb = budget as f64 / (1024.0 * 1024.0);
     let report = dir.join("report.json");
     let by_id = run_stdio_script(
@@ -584,7 +612,7 @@ fn memory_budget_evicts_idle_sessions_lru_first() {
         &[
             Request::load(1, "s_a", classify_str, INPUT_VALUES, None),
             Request::slice_in(2, "s_a", &Criterion::Output(0)),
-            Request::load(3, "s_b", doubler_str, INPUT_B, None),
+            Request::load(3, "s_b", classify_str, INPUT_VALUES, None),
             Request::slice_in(4, "s_a", &Criterion::Output(1)),
             Request::slice_in(5, "s_b", &Criterion::Output(0)),
             Request::load(6, "s_a", classify_str, INPUT_VALUES, None),
@@ -607,7 +635,7 @@ fn memory_budget_evicts_idle_sessions_lru_first() {
         other => panic!("slice of the evicted s_a answered {other:?}"),
     }
     match &by_id[&5] {
-        ResponseBody::Slice { stmts, .. } => assert_eq!(stmts, &expected_doubler_slice()),
+        ResponseBody::Slice { stmts, .. } => assert_eq!(stmts, &expected[0]),
         other => panic!("slice of s_b answered {other:?}"),
     }
     // …and re-loading s_a evicts s_b right back, answers included.
@@ -627,7 +655,7 @@ fn memory_budget_evicts_idle_sessions_lru_first() {
     assert_eq!(parsed.counter_or_zero("server.sessions_unloaded"), 0);
     assert_eq!(parsed.counter_or_zero("server.sessions_rejected"), 0);
     assert_eq!(parsed.gauges.get("server.sessions_resident"), Some(&1.0));
-    assert_eq!(parsed.gauges.get("server.sessions_resident_bytes"), Some(&(bytes_a as f64)));
+    assert_eq!(parsed.gauges.get("server.sessions_resident_bytes"), Some(&(warm_a1 as f64)));
 
     // Three session lifetimes: the live s_a, its evicted first life
     // (suffixed), and the evicted s_b.
@@ -641,8 +669,8 @@ fn memory_budget_evicts_idle_sessions_lru_first() {
         assert_eq!(session.counters["requests"], 1, "{evicted}");
         assert_eq!(session.gauges.get("evicted"), Some(&1.0), "{evicted}");
     }
-    assert_eq!(live.gauges.get("resident_bytes"), Some(&(bytes_a as f64)));
-    assert_eq!(parsed.sessions["s_b"].gauges.get("resident_bytes"), Some(&(bytes_b as f64)));
+    assert_eq!(live.gauges.get("resident_bytes"), Some(&(warm_a1 as f64)));
+    assert_eq!(parsed.sessions["s_b"].gauges.get("resident_bytes"), Some(&(warm_b0 as f64)));
 
     // A report with session sections still satisfies the schema.
     let validate =

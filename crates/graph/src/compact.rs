@@ -9,17 +9,34 @@
 //! pairs on dynamic edges. Label lists may be shared between edges per the
 //! OPT-3/OPT-6 plan; identical consecutive pairs on a shared list are
 //! stored once.
+//!
+//! # Traversal kernel
+//!
+//! The walk touches every visited instance's shortcut closure and probes
+//! the dynamic edges of each frontier entry, so its structures are flat:
+//!
+//! * dynamic edges are compressed-sparse-row arrays ([`EdgeRows`]): data
+//!   edges one row per use slot (an occurrence's slot base plus `k`),
+//!   control edges one row per block-key occurrence — a lookup is two
+//!   slice indexings, not a hash probe;
+//! * the visited set hashes `(occurrence, timestamp)` with the crate's
+//!   multiply-rotate [`FastHasher`](crate::fast_hash::FastHasher);
+//! * the slice is a bitmap over statement ids ([`StmtBits`]), turned into
+//!   the sorted result set once, at the end;
+//! * shortcut closures list their statements and frontier sorted, so walks
+//!   (and the paged backend's page-access order) are deterministic.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use dynslice_analysis::ProgramAnalysis;
 use dynslice_ir::{BlockId, FuncId, Program, StmtId, StmtKind, StmtPos, Terminator, VarId};
 use dynslice_profile::ProgramPaths;
 use dynslice_runtime::{replay, Cell, FrameId, ReplayVisitor, StmtCx, TraceEvent};
 
+use crate::fast_hash::{FastMap, FastSet};
 use crate::nodes::{CdRes, NodeGraph, UseRes, UseShape};
 use crate::segment::{segment, Assign};
 use crate::size::{BuildStats, GraphSize, OptKind};
@@ -34,10 +51,14 @@ pub struct CompactGraph {
     pub nodes: NodeGraph,
     /// Timestamp-pair lists (channels); shared lists appear once.
     pub(crate) channels: Vec<Vec<(u64, u64)>>,
-    /// Dynamic data edges: `(occurrence, use slot) -> [(target, channel)]`.
-    pub(crate) data_dyn: HashMap<(u32, u8), Vec<(u32, u32)>>,
-    /// Dynamic control edges: `block-key occurrence -> [(target, channel)]`.
-    pub(crate) cd_dyn: HashMap<u32, Vec<(u32, u32)>>,
+    /// First use slot of each occurrence (one extra entry closes the
+    /// last): use `(occ, k)` is slot `use_base[occ] + k`. Derived from
+    /// `nodes.use_res`.
+    use_base: Vec<u32>,
+    /// Dynamic data edges, one row of `(target, channel)` per use slot.
+    pub(crate) data_dyn: EdgeRows,
+    /// Dynamic control edges, one row per block-key occurrence.
+    pub(crate) cd_dyn: EdgeRows,
     /// Final defining instance of every memory cell.
     pub last_def: HashMap<Cell, (u32, u64)>,
     /// Executed print instances `(occurrence, ts)`, in order.
@@ -75,6 +96,125 @@ impl LabelSearch for Resident<'_> {
     }
 }
 
+/// Dynamic edge lists in compressed-sparse-row form: row `r`'s
+/// `(target, channel)` pairs are `edges[start[r]..start[r + 1]]`, so
+/// finding a row is two slice indexings. Empty rows cost one offset.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct EdgeRows {
+    /// Row offsets into `edges`; one more entry than there are rows.
+    start: Vec<u32>,
+    edges: Vec<(u32, u32)>,
+}
+
+impl EdgeRows {
+    /// Lays out `lists` — `(row, edges)` with distinct rows, in any order —
+    /// over `num_rows` rows.
+    fn from_lists(num_rows: usize, mut lists: Vec<(usize, Vec<(u32, u32)>)>) -> Self {
+        lists.sort_unstable_by_key(|&(r, _)| r);
+        let mut rows = EdgeRowsBuilder::new(num_rows);
+        for (r, edges) in &lists {
+            rows.push(*r, edges);
+        }
+        rows.finish()
+    }
+
+    /// Row `r`'s edges (empty if it has none).
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[(u32, u32)] {
+        &self.edges[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+
+    /// Edges across all rows.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// The non-empty rows with their indices, in row order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (usize, &[(u32, u32)])> {
+        self.start
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] != w[1])
+            .map(|(r, w)| (r, &self.edges[w[0] as usize..w[1] as usize]))
+    }
+}
+
+/// Builds [`EdgeRows`] from rows appended in strictly increasing order.
+#[derive(Debug)]
+pub(crate) struct EdgeRowsBuilder {
+    num_rows: usize,
+    rows: EdgeRows,
+}
+
+impl EdgeRowsBuilder {
+    pub(crate) fn new(num_rows: usize) -> Self {
+        let mut start = Vec::with_capacity(num_rows + 1);
+        start.push(0);
+        Self { num_rows, rows: EdgeRows { start, edges: Vec::new() } }
+    }
+
+    /// Appends row `r`'s edges; the rows skipped since the last one are
+    /// empty. `r` must be past every row appended so far and below the
+    /// row count.
+    pub(crate) fn push(&mut self, r: usize, edges: &[(u32, u32)]) {
+        let next = self.rows.start.len() - 1;
+        assert!(r >= next && r < self.num_rows, "edge row {r} out of order");
+        let end = *self.rows.start.last().expect("offsets start at 0");
+        self.rows.start.resize(r + 1, end);
+        self.rows.edges.extend_from_slice(edges);
+        let end = u32::try_from(self.rows.edges.len()).expect("dynamic edges fit u32 offsets");
+        self.rows.start.push(end);
+    }
+
+    /// Closes the remaining rows (empty).
+    pub(crate) fn finish(mut self) -> EdgeRows {
+        let end = *self.rows.start.last().expect("offsets start at 0");
+        self.rows.start.resize(self.num_rows + 1, end);
+        self.rows
+    }
+}
+
+/// First use slot of each occurrence, plus the total: the row base of
+/// [`CompactGraph`]'s data edges.
+pub(crate) fn use_slot_base(nodes: &NodeGraph) -> Vec<u32> {
+    let mut base = Vec::with_capacity(nodes.num_occs() + 1);
+    let mut next = 0u32;
+    base.push(next);
+    for uses in &nodes.use_res {
+        next += uses.len() as u32;
+        base.push(next);
+    }
+    base
+}
+
+/// A set of statements, one bit per [`StmtId`]: adding a statement is a
+/// word OR, and the sorted set comes out in one pass at the end.
+struct StmtBits(Vec<u64>);
+
+impl StmtBits {
+    fn new(num_stmts: usize) -> Self {
+        StmtBits(vec![0; num_stmts.div_ceil(64)])
+    }
+
+    #[inline]
+    fn insert(&mut self, s: StmtId) {
+        self.0[s.index() / 64] |= 1 << (s.index() % 64);
+    }
+
+    fn into_set(self) -> BTreeSet<StmtId> {
+        let mut out = Vec::new();
+        for (w, &word) in self.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(StmtId((w * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        // Ascending, so the sort inside the set's bulk build is one pass.
+        out.into_iter().collect()
+    }
+}
+
 /// Sharded, lock-free-ish shortcut memo: one [`OnceLock`] slot per
 /// occurrence. Readers never block; two threads racing to materialize the
 /// same occurrence both compute the (identical, deterministic) closure and
@@ -83,7 +223,7 @@ impl LabelSearch for Resident<'_> {
 /// `RefCell<HashMap<..>>` design made the graph `!Sync`.
 #[derive(Debug, Default)]
 struct ShortcutTable {
-    slots: Vec<OnceLock<Arc<Shortcut>>>,
+    slots: Vec<OnceLock<Shortcut>>,
     /// Number of closures actually materialized (monotone; observability).
     materialized: AtomicU64,
     /// Skip-list statements of the materialized closures, as
@@ -124,9 +264,11 @@ impl dynslice_obs::RecordMetrics for TraversalStats {
 /// from one occurrence (the paper's shortcut edges, §3.4).
 #[derive(Debug, Default)]
 struct Shortcut {
-    /// Statements reached via static edges (all at the origin's timestamp).
+    /// Statements reached via static edges (all at the origin's
+    /// timestamp), ascending.
     stmts: Vec<StmtId>,
-    /// Points where traversal needs dynamic labels or a timestamp change.
+    /// Points where traversal needs dynamic labels or a timestamp change,
+    /// sorted, so the walk pushes successors in a fixed order.
     frontier: Vec<Frontier>,
 }
 
@@ -142,7 +284,7 @@ impl Shortcut {
     }
 }
 
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Frontier {
     /// Resolve use `(occurrence, slot)` dynamically at the origin ts.
     Use(u32, u8),
@@ -189,8 +331,9 @@ impl CompactGraph {
     }
 
     /// Assembles a graph from its built parts, sorting every channel into
-    /// use-timestamp order (return-value edges append out of `tu` order).
-    /// Shared by the sequential builder and the parallel stitcher.
+    /// use-timestamp order (return-value edges append out of `tu` order)
+    /// and laying the store's edge maps out as [`EdgeRows`]. Shared by the
+    /// sequential builder and the parallel stitcher.
     pub(crate) fn assemble(
         nodes: NodeGraph,
         store: DynStore,
@@ -200,11 +343,21 @@ impl CompactGraph {
         num_node_execs: u64,
     ) -> Self {
         let num_occs = nodes.num_occs();
+        let use_base = use_slot_base(&nodes);
+        let data_lists = store
+            .data_dyn
+            .into_iter()
+            .map(|((occ, k), edges)| (use_base[occ as usize] as usize + k as usize, edges))
+            .collect();
+        let data_dyn = EdgeRows::from_lists(use_base[num_occs] as usize, data_lists);
+        let cd_lists = store.cd_dyn.into_iter().map(|(key, edges)| (key as usize, edges)).collect();
+        let cd_dyn = EdgeRows::from_lists(num_occs, cd_lists);
         let mut g = CompactGraph {
             nodes,
             channels: store.channels,
-            data_dyn: store.data_dyn,
-            cd_dyn: store.cd_dyn,
+            use_base,
+            data_dyn,
+            cd_dyn,
             last_def,
             outputs,
             stats,
@@ -222,14 +375,17 @@ impl CompactGraph {
     /// **not** re-sort channels: the serialized channel order is the
     /// as-built order, and `sort_unstable_by_key` could permute equal-key
     /// pairs, breaking the round-trip bit-identity that
-    /// [`CompactGraph::first_difference`] pins. The shortcut memo is
-    /// derived state (excluded from `first_difference`) and starts empty.
+    /// [`CompactGraph::first_difference`] pins. `use_base` is
+    /// [`use_slot_base`] of `nodes`, the row base `data_dyn` was laid out
+    /// against. The shortcut memo is derived state (excluded from
+    /// `first_difference`) and starts empty.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         nodes: NodeGraph,
         channels: Vec<Vec<(u64, u64)>>,
-        data_dyn: HashMap<(u32, u8), Vec<(u32, u32)>>,
-        cd_dyn: HashMap<u32, Vec<(u32, u32)>>,
+        use_base: Vec<u32>,
+        data_dyn: EdgeRows,
+        cd_dyn: EdgeRows,
         last_def: HashMap<Cell, (u32, u64)>,
         outputs: Vec<(u32, u64)>,
         stats: BuildStats,
@@ -239,6 +395,7 @@ impl CompactGraph {
         CompactGraph {
             nodes,
             channels,
+            use_base,
             data_dyn,
             cd_dyn,
             last_def,
@@ -255,14 +412,35 @@ impl CompactGraph {
         self.nodes.occ_stmt[occ as usize]
     }
 
-    /// Dynamic data edges of use `(occ, k)` as `(target, channel)` pairs.
+    /// Statements in the program (the width of a slice bitmap).
+    fn num_stmts(&self) -> usize {
+        self.nodes.stmt_shapes.len()
+    }
+
+    /// Dynamic data edges of use `(occ, k)` as `(target, channel)` pairs;
+    /// `k` is one of `occ`'s use slots.
+    #[inline]
     pub fn dyn_edges(&self, occ: u32, k: u8) -> &[(u32, u32)] {
-        self.data_dyn.get(&(occ, k)).map(Vec::as_slice).unwrap_or(&[])
+        debug_assert!((k as usize) < self.nodes.use_res[occ as usize].len(), "use slot {k} of {occ}");
+        self.data_dyn.row(self.use_base[occ as usize] as usize + k as usize)
     }
 
     /// Dynamic control edges hanging off block-key occurrence `key`.
+    #[inline]
     pub fn cd_edges(&self, key: u32) -> &[(u32, u32)] {
-        self.cd_dyn.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        self.cd_dyn.row(key as usize)
+    }
+
+    /// The non-empty data edge lists keyed by use `(occ, k)`, in key
+    /// order (the snapshot's DYN section order).
+    pub(crate) fn data_edge_lists(&self) -> impl Iterator<Item = ((u32, u8), &[(u32, u32)])> {
+        let mut occ = 0;
+        self.data_dyn.rows().map(move |(slot, edges)| {
+            while self.use_base[occ + 1] as usize <= slot {
+                occ += 1;
+            }
+            ((occ as u32, (slot - self.use_base[occ] as usize) as u8), edges)
+        })
     }
 
     /// Takes the timestamp-pair lists out of the graph (leaving them
@@ -365,8 +543,8 @@ impl CompactGraph {
         ts: u64,
         stats: &mut TraversalStats,
     ) -> Result<BTreeSet<StmtId>, L::Error> {
-        let mut slice = BTreeSet::new();
-        let mut visited = HashSet::new();
+        let mut slice = StmtBits::new(self.num_stmts());
+        let mut visited = FastSet::default();
         let mut work = vec![(occ, ts)];
         slice.insert(self.stmt_of(occ));
         while let Some((occ, ts)) = work.pop() {
@@ -386,7 +564,7 @@ impl CompactGraph {
                 work.push((pocc, tp));
             }
         }
-        Ok(slice)
+        Ok(slice.into_set())
     }
 
     fn slice_shortcut<L: LabelSearch>(
@@ -396,8 +574,8 @@ impl CompactGraph {
         ts: u64,
         stats: &mut TraversalStats,
     ) -> Result<BTreeSet<StmtId>, L::Error> {
-        let mut slice = BTreeSet::new();
-        let mut visited = HashSet::new();
+        let mut slice = StmtBits::new(self.num_stmts());
+        let mut visited = FastSet::default();
         let mut work = vec![(occ, ts)];
         while let Some((occ, ts)) = work.pop() {
             if !visited.insert((occ, ts)) {
@@ -405,7 +583,9 @@ impl CompactGraph {
             }
             stats.instances_visited += 1;
             let sc = self.shortcut_counted(occ, stats);
-            slice.extend(sc.stmts.iter().copied());
+            for &s in &sc.stmts {
+                slice.insert(s);
+            }
             for f in &sc.frontier {
                 match *f {
                     Frontier::Use(o, k) => {
@@ -429,41 +609,44 @@ impl CompactGraph {
                 }
             }
         }
-        Ok(slice)
+        Ok(slice.into_set())
     }
 
     /// The shortcut closure of `occ` (computed lazily, memoized in the
     /// lock-free per-occurrence table; safe to call from many threads).
-    fn shortcut(&self, occ: u32) -> Arc<Shortcut> {
+    fn shortcut(&self, occ: u32) -> &Shortcut {
         let mut stats = TraversalStats::default();
         self.shortcut_counted(occ, &mut stats)
     }
 
-    fn shortcut_counted(&self, occ: u32, stats: &mut TraversalStats) -> Arc<Shortcut> {
+    fn shortcut_counted(&self, occ: u32, stats: &mut TraversalStats) -> &Shortcut {
         let slot = &self.shortcuts.slots[occ as usize];
         if let Some(sc) = slot.get() {
             stats.shortcut_hits += 1;
-            return Arc::clone(sc);
+            return sc;
         }
-        let mut stmts = BTreeSet::new();
-        let mut frontier = HashSet::new();
-        let mut cd_seen = HashSet::new();
+        let mut stmts = FastSet::default();
+        let mut frontier = FastSet::default();
+        let mut cd_seen = FastSet::default();
         self.closure(occ, &mut stmts, &mut frontier, &mut cd_seen);
-        let sc = Arc::new(Shortcut {
+        let mut sc = Shortcut {
             stmts: stmts.into_iter().collect(),
             frontier: frontier.into_iter().collect(),
-        });
+        };
+        sc.stmts.sort_unstable();
+        sc.frontier.sort_unstable();
+        let skip_stmts = sc.skip_stmts();
         // A concurrent traversal may have materialized the same closure in
         // the meantime; the computation is deterministic, so losing the
         // race is benign — use whichever value landed.
-        if slot.set(Arc::clone(&sc)).is_ok() {
+        if slot.set(sc).is_ok() {
             self.shortcuts.materialized.fetch_add(1, Ordering::Relaxed);
-            self.shortcuts.materialized_stmts.fetch_add(sc.skip_stmts(), Ordering::Relaxed);
+            self.shortcuts.materialized_stmts.fetch_add(skip_stmts, Ordering::Relaxed);
             stats.shortcuts_materialized += 1;
         } else {
             stats.shortcut_hits += 1;
         }
-        Arc::clone(slot.get().expect("slot initialized above"))
+        slot.get().expect("slot initialized above")
     }
 
     /// Total shortcut closures materialized so far (shared across all
@@ -490,9 +673,9 @@ impl CompactGraph {
     fn closure(
         &self,
         occ: u32,
-        stmts: &mut BTreeSet<StmtId>,
-        frontier: &mut HashSet<Frontier>,
-        cd_seen: &mut HashSet<u32>,
+        stmts: &mut FastSet<StmtId>,
+        frontier: &mut FastSet<Frontier>,
+        cd_seen: &mut FastSet<u32>,
     ) {
         if !stmts.insert(self.stmt_of(occ)) {
             // Already expanded: closures stay within one node, where each
@@ -501,7 +684,7 @@ impl CompactGraph {
         }
         for (k, res) in self.nodes.use_res[occ as usize].iter().enumerate() {
             let k = k as u8;
-            if self.data_dyn.contains_key(&(occ, k)) {
+            if !self.dyn_edges(occ, k).is_empty() {
                 frontier.insert(Frontier::Use(occ, k));
                 continue;
             }
@@ -517,7 +700,7 @@ impl CompactGraph {
         }
         let key = self.nodes.occ_block_key[occ as usize];
         if cd_seen.insert(key) {
-            if self.cd_dyn.contains_key(&key) {
+            if !self.cd_edges(key).is_empty() {
                 frontier.insert(Frontier::Cd(occ));
             } else {
                 match self.nodes.cd_res[occ as usize] {
@@ -538,11 +721,11 @@ impl CompactGraph {
         &self,
         occ: u32,
         k: u8,
-        stmts: &mut BTreeSet<StmtId>,
-        frontier: &mut HashSet<Frontier>,
-        cd_seen: &mut HashSet<u32>,
+        stmts: &mut FastSet<StmtId>,
+        frontier: &mut FastSet<Frontier>,
+        cd_seen: &mut FastSet<u32>,
     ) {
-        if self.data_dyn.contains_key(&(occ, k)) {
+        if !self.dyn_edges(occ, k).is_empty() {
             frontier.insert(Frontier::Use(occ, k));
             return;
         }
@@ -570,18 +753,16 @@ impl CompactGraph {
                 }
             }
         }
-        // Control: one static edge per block occurrence, not per statement.
-        let mut seen_keys = HashSet::new();
-        for occ in 0..self.nodes.num_occs() as u32 {
-            let key = self.nodes.occ_block_key[occ as usize];
-            if seen_keys.insert(key)
-                && matches!(self.nodes.cd_res[occ as usize], CdRes::Static { .. })
+        // Control: one static edge per block occurrence, not per statement,
+        // judged at the block's key — its first occurrence.
+        for (occ, &key) in self.nodes.occ_block_key.iter().enumerate() {
+            if key as usize == occ
+                && matches!(self.nodes.cd_res[occ], CdRes::Static { .. })
             {
                 s.static_edges += 1;
             }
         }
-        s.dynamic_edges = self.data_dyn.values().map(|v| v.len() as u64).sum::<u64>()
-            + self.cd_dyn.values().map(|v| v.len() as u64).sum::<u64>();
+        s.dynamic_edges = (self.data_dyn.num_edges() + self.cd_dyn.num_edges()) as u64;
         s.pairs = self.channels.iter().map(|c| c.len() as u64).sum();
         if with_shortcuts {
             for occ in 0..self.nodes.num_occs() as u32 {
@@ -597,7 +778,7 @@ impl CompactGraph {
     }
 
     /// Compares every materialized component of two graphs — channel
-    /// tables, dynamic edge maps, last-defs, outputs, statistics —
+    /// tables, dynamic edge rows, last-defs, outputs, statistics —
     /// returning the name of the first differing component, or `None` if
     /// the graphs are bit-identical. This is the oracle the parallel-build
     /// differential tests and the scaling bench use; it deliberately
@@ -640,22 +821,24 @@ struct FrameState {
 }
 
 /// The dynamic-label store: channels, the dynamic edge maps and the
-/// label-sharing channel assignments. Channel indices are assigned in
-/// first-discovery order and identical consecutive pairs on a channel are
-/// stored once, so the exact same *sequence* of `record_*_pair` calls
-/// yields the exact same store — the invariant the parallel stitcher
-/// (`crate::parallel`) relies on for bit-identical builds.
+/// label-sharing channel assignments. The maps serve the insert path only;
+/// [`CompactGraph::assemble`] lays them out as [`EdgeRows`]. Channel
+/// indices are assigned in first-discovery order and identical consecutive
+/// pairs on a channel are stored once, so the exact same *sequence* of
+/// `record_*_pair` calls yields the exact same store — the invariant the
+/// parallel stitcher (`crate::parallel`) relies on for bit-identical
+/// builds.
 #[derive(Debug, Default)]
 pub(crate) struct DynStore {
     pub(crate) channels: Vec<Vec<(u64, u64)>>,
-    pub(crate) data_dyn: HashMap<(u32, u8), Vec<(u32, u32)>>,
-    pub(crate) cd_dyn: HashMap<u32, Vec<(u32, u32)>>,
+    data_dyn: FastMap<(u32, u8), Vec<(u32, u32)>>,
+    cd_dyn: FastMap<u32, Vec<(u32, u32)>>,
     /// Sharing group -> channel, per `(group, def node, use node)`: label
     /// sharing is only valid between edges connecting the *same pair of
     /// node copies* (specialization gives statements multiple occurrences,
     /// and a statement-keyed channel would let the wrong copy claim a
     /// label).
-    group_chan: HashMap<(u32, u32, u32), u32>,
+    group_chan: FastMap<(u32, u32, u32), u32>,
 }
 
 impl DynStore {
@@ -1043,5 +1226,44 @@ impl ReplayVisitor for Builder<'_> {
         self.last_ret = self.ret.remove(&frame);
         self.frames.remove(&frame);
         self.call_site.remove(&frame);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{build_compact, OptConfig};
+    use dynslice_analysis::ProgramAnalysis;
+    use dynslice_runtime::{run, VmOptions};
+
+    /// Every materialized closure lists its statements and frontier
+    /// sorted: the walk pushes successors in frontier order, so sorted
+    /// frontiers make walks, and paged page-access order, deterministic.
+    #[test]
+    fn materialized_closures_are_sorted() {
+        let p = dynslice_lang::compile(
+            "global int a[8];
+             fn main() {
+               int i;
+               int s = 0;
+               for (i = 0; i < 64; i = i + 1) {
+                 a[i % 8] = a[(i + 3) % 8] + i;
+                 if (a[i % 8] % 3 == 0) { s = s + a[i % 8]; } else { s = s - 1; }
+               }
+               print s;
+             }",
+        )
+        .unwrap();
+        let a = ProgramAnalysis::compute(&p);
+        let t = run(&p, VmOptions::default());
+        let g = build_compact(&p, &a, &t.events, &OptConfig::default());
+        g.size(true); // materializes every closure
+        let mut frontiers = 0;
+        for slot in &g.shortcuts.slots {
+            let sc = slot.get().expect("size(true) materializes every closure");
+            assert!(sc.stmts.windows(2).all(|w| w[0] < w[1]), "{:?}", sc.stmts);
+            assert!(sc.frontier.windows(2).all(|w| w[0] < w[1]), "{:?}", sc.frontier);
+            frontiers += usize::from(sc.frontier.len() > 1);
+        }
+        assert!(frontiers > 0, "no closure has two frontier entries to order");
     }
 }

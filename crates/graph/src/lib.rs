@@ -15,6 +15,7 @@
 
 pub mod compact;
 pub mod dot;
+mod fast_hash;
 pub mod full;
 pub mod nodes;
 pub mod paged;

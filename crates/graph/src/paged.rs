@@ -34,7 +34,8 @@
 //! * a hit searches its run (a few comparisons) under the shard lock, so
 //!   the hot path clones no [`Arc`]; a miss reads and decodes with no
 //!   lock held and shares the new page with the shard through an `Arc`;
-//!   shard maps hash page ids with one multiply, not SipHash;
+//!   shard maps hash page ids with the crate's multiply-rotate hasher (the
+//!   one OPT's visited set uses), not SipHash;
 //! * disk reads go through **one shared handle** using positioned reads
 //!   ([`std::os::unix::fs::FileExt::read_exact_at`] on Unix) — a miss never
 //!   re-opens the spill file, and two threads can read concurrently;
@@ -45,9 +46,8 @@
 //!   concurrent query's reads; its hits reach the shared atomics once,
 //!   when the query ends, rather than once per lookup.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fs::File;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, BufWriter, Write};
 use std::mem::size_of;
 use std::path::{Path, PathBuf};
@@ -58,6 +58,7 @@ use dynslice_ir::StmtId;
 use dynslice_runtime::Cell;
 
 use crate::compact::{CompactGraph, LabelSearch, TraversalStats};
+use crate::fast_hash::FastMap;
 
 /// Pairs per spilled block: one 4 KiB page.
 pub const BLOCK_PAIRS: usize = 256;
@@ -172,27 +173,6 @@ impl dynslice_obs::RecordMetrics for PagedStats {
 /// between the loader and the shard.
 type Block = Arc<[(u64, u64)]>;
 
-/// Hashes a block id for its shard's map: one multiply instead of a
-/// SipHash per lookup. Ids are small integers that a shard holds at a
-/// stride (shard `i` of `n` holds `i, i + n, …`), so the multiply spreads
-/// them and the fold brings its high bits down to the bucket-picking low
-/// bits.
-#[derive(Default)]
-struct BlockIdHasher(u64);
-
-impl Hasher for BlockIdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0 << 8 | u64::from(b);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        let x = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x ^ (x >> 32)
-    }
-}
-
 /// One cache shard: true LRU over the blocks mapped to it.
 #[derive(Debug)]
 struct CacheShard {
@@ -200,8 +180,11 @@ struct CacheShard {
     capacity: usize,
     /// Monotone recency clock; bumped on every touch.
     tick: u64,
-    /// `block id -> (pairs, last-touch tick)`.
-    blocks: HashMap<u32, (Block, u64), BuildHasherDefault<BlockIdHasher>>,
+    /// `block id -> (pairs, last-touch tick)`, under the crate's
+    /// multiply-rotate hasher: ids are small integers a shard holds at a
+    /// stride (shard `i` of `n` holds `i, i + n, …`), which its final fold
+    /// spreads over the buckets.
+    blocks: FastMap<u32, (Block, u64)>,
 }
 
 impl CacheShard {
@@ -382,7 +365,7 @@ impl PagedGraph {
             .map(|i| {
                 let capacity =
                     resident_blocks / num_shards + usize::from(i < resident_blocks % num_shards);
-                Mutex::new(CacheShard { capacity, tick: 0, blocks: HashMap::default() })
+                Mutex::new(CacheShard { capacity, tick: 0, blocks: FastMap::default() })
             })
             .collect();
         Ok(Self {
@@ -806,6 +789,34 @@ mod tests {
                 + shortcut_bytes
         );
         assert_eq!(g.shortcuts_materialized(), materialized, "measuring materialized closures");
+    }
+
+    /// Two freshly spilled graphs of one program, asked the same queries
+    /// under the same page budget, walk in the same order: identical page
+    /// traffic per query and in total, and identical traversal counters.
+    /// (Shortcut frontiers are sorted, and the visited set and shard maps
+    /// hash without a per-instance random seed.)
+    #[test]
+    fn paged_walks_are_deterministic() {
+        let (p, a, t) = setup(SRC);
+        let run = |name| {
+            let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
+            let paged = PagedGraph::spill(opt, spill_path(name), 2).unwrap();
+            let mut cells: Vec<_> = paged.graph().last_def.keys().copied().collect();
+            cells.sort();
+            let per_query: Vec<_> = cells
+                .iter()
+                .map(|&cell| {
+                    let (occ, ts) = paged.last_def_of(cell).unwrap();
+                    let (_, traversal, pages) = paged.slice_with_stats(occ, ts).unwrap();
+                    (traversal, pages)
+                })
+                .collect();
+            (per_query, paged.stats())
+        };
+        let (first, total) = run("det-a");
+        assert!(total.misses > 0 && total.hits > 0, "{total:?}");
+        assert_eq!((first, total), run("det-b"));
     }
 
     /// A zero budget is refused instead of quietly becoming one page.

@@ -798,8 +798,9 @@ mod tests {
     use dynslice_runtime::{run, VmOptions};
 
     /// The parallel build must be *bit-identical* to the sequential one:
-    /// same channel tables in the same order, same dynamic edge maps, same
-    /// statistics — not merely slice-equivalent.
+    /// same channel tables in the same order, same dynamic edge rows (the
+    /// flat offset and edge arrays), same statistics — not merely
+    /// slice-equivalent.
     fn assert_bit_identical(src: &str, input: Vec<i64>, config: &OptConfig) {
         let p = dynslice_lang::compile(src).expect("compiles");
         let a = ProgramAnalysis::compute(&p);

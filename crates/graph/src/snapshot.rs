@@ -29,9 +29,12 @@
 //! ```
 //!
 //! Sections: `source`, `input`, `config`, `nodes`, `dyn` (channels +
-//! dynamic edge maps), `criteria` (last-def map, outputs, execution
-//! count), `stats`. Hash maps are serialized with keys sorted, so encoding
-//! is deterministic: the same graph always produces the same bytes.
+//! dynamic edge lists), `criteria` (last-def map, outputs, execution
+//! count), `stats`. Hash maps and edge lists are serialized with keys
+//! sorted, so encoding is deterministic: the same graph always produces
+//! the same bytes. The `dyn` lists decode straight into the graph's
+//! compressed-sparse-row edge arrays, so their key order is checked, not
+//! assumed.
 //!
 //! # Integrity
 //!
@@ -55,7 +58,7 @@ use std::path::Path;
 use dynslice_ir::{BlockId, FuncId, StmtId, VarId};
 use dynslice_runtime::Cell;
 
-use crate::compact::CompactGraph;
+use crate::compact::{use_slot_base, CompactGraph, EdgeRows, EdgeRowsBuilder, NONE_TARGET};
 use crate::nodes::{CdRes, NodeData, NodeGraph, NodeKind, OptConfig, SpecPolicy, UseRes, UseShape};
 use crate::size::{BuildStats, OptKind};
 
@@ -361,37 +364,48 @@ fn encode_nodes(buf: &mut Vec<u8>, n: &NodeGraph) {
     put_u32(buf, n.num_groups);
 }
 
+/// One dynamic edge list of the DYN section: its key and edges.
+type EdgeList<'g, K> = (K, &'g [(u32, u32)]);
+
 fn encode_dyn(buf: &mut Vec<u8>, g: &CompactGraph) {
-    put_len(buf, g.channels.len());
-    for ch in &g.channels {
+    let data: Vec<_> = g.data_edge_lists().collect();
+    let cd: Vec<_> = g.cd_dyn.rows().map(|(key, edges)| (key as u32, edges)).collect();
+    put_dyn(buf, &g.channels, &data, &cd);
+}
+
+/// Writes a DYN payload: the channels, then the data and control edge
+/// lists in the order given (ascending keys, as the decoder requires).
+fn put_dyn(
+    buf: &mut Vec<u8>,
+    channels: &[Vec<(u64, u64)>],
+    data: &[EdgeList<'_, (u32, u8)>],
+    cd: &[EdgeList<'_, u32>],
+) {
+    let put_edges = |buf: &mut Vec<u8>, edges: &[(u32, u32)]| {
+        put_len(buf, edges.len());
+        for &(target, chan) in edges {
+            put_u32(buf, target);
+            put_u32(buf, chan);
+        }
+    };
+    put_len(buf, channels.len());
+    for ch in channels {
         put_len(buf, ch.len());
         for &(a, b) in ch {
             put_u64(buf, a);
             put_u64(buf, b);
         }
     }
-    let mut data_dyn: Vec<_> = g.data_dyn.iter().collect();
-    data_dyn.sort_unstable_by_key(|(k, _)| **k);
-    put_len(buf, data_dyn.len());
-    for (&(occ, k), edges) in data_dyn {
+    put_len(buf, data.len());
+    for &((occ, k), edges) in data {
         put_u32(buf, occ);
         put_u8(buf, k);
-        put_len(buf, edges.len());
-        for &(target, chan) in edges {
-            put_u32(buf, target);
-            put_u32(buf, chan);
-        }
+        put_edges(buf, edges);
     }
-    let mut cd_dyn: Vec<_> = g.cd_dyn.iter().collect();
-    cd_dyn.sort_unstable_by_key(|(k, _)| **k);
-    put_len(buf, cd_dyn.len());
-    for (&key, edges) in cd_dyn {
+    put_len(buf, cd.len());
+    for &(key, edges) in cd {
         put_u32(buf, key);
-        put_len(buf, edges.len());
-        for &(target, chan) in edges {
-            put_u32(buf, target);
-            put_u32(buf, chan);
-        }
+        put_edges(buf, edges);
     }
 }
 
@@ -747,13 +761,28 @@ fn decode_nodes(r: &mut Reader<'_>) -> Result<NodeGraph, SnapshotError> {
             ),
         });
     }
+    // Slices are collected in a bitmap over statement ids, one bit per
+    // entry of `stmt_shapes`.
+    if let Some(s) = graph.occ_stmt.iter().find(|s| s.index() >= graph.stmt_shapes.len()) {
+        return Err(SnapshotError::Corrupt {
+            section: "nodes",
+            detail: format!(
+                "occurrence statement {s} is outside the {} statements",
+                graph.stmt_shapes.len()
+            ),
+        });
+    }
     Ok(graph)
 }
 
-type DynArenas =
-    (Vec<Vec<(u64, u64)>>, HashMap<(u32, u8), Vec<(u32, u32)>>, HashMap<u32, Vec<(u32, u32)>>);
+/// The channels, the use-slot row base and the data and control edge rows.
+type DynArenas = (Vec<Vec<(u64, u64)>>, Vec<u32>, EdgeRows, EdgeRows);
 
-fn decode_dyn(r: &mut Reader<'_>) -> Result<DynArenas, SnapshotError> {
+/// Decodes the DYN section straight into edge rows. Its keys were written
+/// in ascending order; a key out of order, repeated, naming an occurrence
+/// or use slot `nodes` lacks, or carrying no edges, and an edge to an
+/// occurrence `nodes` lacks, is corruption.
+fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, SnapshotError> {
     let num_channels = r.len(8)?;
     let mut channels = Vec::with_capacity(num_channels);
     for _ in 0..num_channels {
@@ -767,36 +796,77 @@ fn decode_dyn(r: &mut Reader<'_>) -> Result<DynArenas, SnapshotError> {
         channels.push(ch);
     }
     let chan_count = channels.len() as u64;
-    let decode_edges = |r: &mut Reader<'_>| -> Result<Vec<(u32, u32)>, SnapshotError> {
+    let num_occs = nodes.num_occs();
+    let mut total_edges = 0usize;
+    let mut edges = Vec::new();
+    // One key's edge list, into `edges`.
+    let mut decode_edges = |r: &mut Reader<'_>, key: &dyn fmt::Debug, edges: &mut Vec<_>| {
         let n = r.len(8)?;
-        let mut edges = Vec::with_capacity(n);
+        if n == 0 {
+            return Err(r.corrupt(format!("edge key {key:?} has an empty edge list")));
+        }
+        total_edges += n;
+        if total_edges > u32::MAX as usize {
+            return Err(r.corrupt(format!("{total_edges} edges overflow the u32 row offsets")));
+        }
+        edges.clear();
         for _ in 0..n {
             let target = r.u32()?;
             let chan = r.u32()?;
             if chan as u64 >= chan_count {
                 return Err(r.corrupt(format!("edge references channel {chan} of {chan_count}")));
             }
+            if target != NONE_TARGET && target as usize >= num_occs {
+                return Err(r.corrupt(format!("edge targets occurrence {target} of {num_occs}")));
+            }
             edges.push((target, chan));
         }
-        Ok(edges)
+        Ok(())
     };
+    let use_base = use_slot_base(nodes);
     let num_data = r.len(13)?;
-    let mut data_dyn = HashMap::with_capacity(num_data);
+    let mut data_dyn = EdgeRowsBuilder::new(use_base[num_occs] as usize);
+    let mut prev = None;
     for _ in 0..num_data {
-        let occ = r.u32()?;
-        let k = r.u8()?;
-        let edges = decode_edges(r)?;
-        data_dyn.insert((occ, k), edges);
+        let key = (r.u32()?, r.u8()?);
+        let (occ, k) = key;
+        if let Some(p) = prev.filter(|&p| p >= key) {
+            return Err(r.corrupt(format!(
+                "data edge key {key:?} follows {p:?}: keys must ascend without repeats"
+            )));
+        }
+        prev = Some(key);
+        if occ as usize >= num_occs {
+            return Err(r.corrupt(format!("data edge key {key:?}: occurrence {occ} of {num_occs}")));
+        }
+        let uses = nodes.use_res[occ as usize].len();
+        if k as usize >= uses {
+            return Err(r.corrupt(format!(
+                "data edge key {key:?}: occurrence {occ} has {uses} use slots"
+            )));
+        }
+        decode_edges(r, &key, &mut edges)?;
+        data_dyn.push(use_base[occ as usize] as usize + k as usize, &edges);
     }
     let num_cd = r.len(12)?;
-    let mut cd_dyn = HashMap::with_capacity(num_cd);
+    let mut cd_dyn = EdgeRowsBuilder::new(num_occs);
+    let mut prev = None;
     for _ in 0..num_cd {
         let key = r.u32()?;
-        let edges = decode_edges(r)?;
-        cd_dyn.insert(key, edges);
+        if let Some(p) = prev.filter(|&p| p >= key) {
+            return Err(r.corrupt(format!(
+                "control edge key {key} follows {p}: keys must ascend without repeats"
+            )));
+        }
+        prev = Some(key);
+        if key as usize >= num_occs {
+            return Err(r.corrupt(format!("control edge key: occurrence {key} of {num_occs}")));
+        }
+        decode_edges(r, &key, &mut edges)?;
+        cd_dyn.push(key as usize, &edges);
     }
     r.done()?;
-    Ok((channels, data_dyn, cd_dyn))
+    Ok((channels, use_base, data_dyn.finish(), cd_dyn.finish()))
 }
 
 type Criteria = (HashMap<Cell, (u32, u64)>, Vec<(u32, u64)>, u64);
@@ -944,7 +1014,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 
     let payload = section(bytes, &mut pos, TAG_DYN, "dyn")?;
     let mut r = Reader::new(payload, "dyn");
-    let (channels, data_dyn, cd_dyn) = decode_dyn(&mut r)?;
+    let (channels, use_base, data_dyn, cd_dyn) = decode_dyn(&mut r, &nodes)?;
 
     let payload = section(bytes, &mut pos, TAG_CRITERIA, "criteria")?;
     let mut r = Reader::new(payload, "criteria");
@@ -964,6 +1034,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let graph = CompactGraph::from_parts(
         nodes,
         channels,
+        use_base,
         data_dyn,
         cd_dyn,
         last_def,
@@ -1037,6 +1108,113 @@ mod tests {
         // Deterministic encoding: re-encoding the decoded snapshot
         // reproduces the exact bytes (sorted-map serialization).
         assert_eq!(encode(&back), bytes);
+    }
+
+    /// `snap` encoded with its DYN section replaced by `data` and `cd`,
+    /// re-checksummed, so only the decoder's own checks can object.
+    fn with_dyn_lists(
+        snap: &Snapshot,
+        data: &[EdgeList<'_, (u32, u8)>],
+        cd: &[EdgeList<'_, u32>],
+    ) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_dyn(&mut payload, &snap.graph.channels, data, cd);
+        with_section(&encode(snap), TAG_DYN, &payload)
+    }
+
+    /// `bytes` with section `tag`'s payload replaced and re-checksummed.
+    fn with_section(bytes: &[u8], tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut pos = MAGIC.len() + 12;
+        loop {
+            let len = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap()) as usize;
+            let end = pos + 9 + len + 8;
+            if bytes[pos] == tag {
+                let mut out = bytes[..pos].to_vec();
+                push_section(&mut out, tag, payload);
+                out.extend_from_slice(&bytes[end..]);
+                return out;
+            }
+            pos = end;
+        }
+    }
+
+    /// Slices are collected in a bitmap over the program's statements, so
+    /// an occurrence naming a statement past them is corruption, not a
+    /// panic at the first slice.
+    #[test]
+    fn occurrence_statements_must_exist() {
+        let snap = sample();
+        let mut nodes = snap.graph.nodes.clone();
+        nodes.occ_stmt[0] = StmtId(nodes.stmt_shapes.len() as u32);
+        let mut payload = Vec::new();
+        encode_nodes(&mut payload, &nodes);
+        match decode(&with_section(&encode(&snap), TAG_NODES, &payload)) {
+            Err(SnapshotError::Corrupt { section: "nodes", detail }) => {
+                assert!(detail.contains("outside"), "{detail}");
+            }
+            other => panic!("expected nodes corruption, got {other:?}"),
+        }
+    }
+
+    /// Decoding `bytes` fails as DYN-section corruption mentioning `what`.
+    fn assert_dyn_corrupt(bytes: &[u8], what: &str) {
+        match decode(bytes) {
+            Err(SnapshotError::Corrupt { section: "dyn", detail }) => {
+                assert!(detail.contains(what), "{detail:?} does not mention {what:?}");
+            }
+            other => panic!("expected dyn corruption ({what}), got {other:?}"),
+        }
+    }
+
+    /// The DYN section decodes straight into edge rows, so its keys must
+    /// ascend: unsorted or repeated keys, keys naming a missing
+    /// occurrence or use slot, empty lists and edges to a missing
+    /// occurrence are each typed corruption.
+    /// The encoder's own lists still decode and re-encode to the same
+    /// bytes through the same writer.
+    #[test]
+    fn dyn_key_order_and_range_are_enforced() {
+        let snap = sample();
+        let g = &snap.graph;
+        let data: Vec<_> = g.data_edge_lists().collect();
+        let cd: Vec<_> = g.cd_dyn.rows().map(|(key, edges)| (key as u32, edges)).collect();
+        assert!(data.len() >= 2 && cd.len() >= 2, "sample needs two lists of each kind");
+        let intact = with_dyn_lists(&snap, &data, &cd);
+        assert_eq!(intact, encode(&snap));
+        assert_eq!(encode(&decode(&intact).unwrap()), intact);
+
+        let mut swapped = data.clone();
+        swapped.swap(0, 1);
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &swapped, &cd), "ascend");
+        let mut repeated = data.clone();
+        repeated.insert(1, data[0]);
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &repeated, &cd), "ascend");
+        let num_occs = g.nodes.num_occs() as u32;
+        let mut past_occs = data.clone();
+        past_occs.push(((num_occs, 0), data[0].1));
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &past_occs, &cd), "occurrence");
+        let ((occ, _), edges) = *data.last().unwrap();
+        let uses = g.nodes.use_res[occ as usize].len() as u8;
+        let mut past_uses = data.clone();
+        past_uses.push(((occ, uses), edges));
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &past_uses, &cd), "use slots");
+        let mut empty = data.clone();
+        empty[0].1 = &[];
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &empty, &cd), "empty edge list");
+        let stray = [(num_occs, data[0].1[0].1)];
+        let mut past_target = data.clone();
+        past_target[0].1 = &stray;
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &past_target, &cd), "targets occurrence");
+
+        let mut swapped = cd.clone();
+        swapped.swap(0, 1);
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &data, &swapped), "ascend");
+        let mut repeated = cd.clone();
+        repeated.insert(1, cd[0]);
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &data, &repeated), "ascend");
+        let mut past_occs = cd.clone();
+        past_occs.push((num_occs, cd[0].1));
+        assert_dyn_corrupt(&with_dyn_lists(&snap, &data, &past_occs), "occurrence");
     }
 
     #[test]

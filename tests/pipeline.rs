@@ -148,3 +148,27 @@ fn sequitur_vs_opt_compression() {
     let opt_pairs = opt.graph().size(false).pairs;
     assert!(opt_pairs < full_pairs, "OPT must store fewer pairs");
 }
+
+/// The size model is a fixed function of representation counts, so a
+/// change to how the graph stores its parts must not move it: `size(false)`
+/// of one suite program is pinned field by field.
+#[test]
+fn compact_size_model_is_pinned() {
+    let w = workloads::by_name("300.twolf").unwrap();
+    let session = Session::compile(&w.source(0.05)).unwrap();
+    let trace = session.run_with(VmOptions { input: w.input.clone(), ..Default::default() });
+    let opt = session.opt(&trace, &OptConfig::default());
+    assert_eq!(
+        opt.graph().size(false),
+        dynslice::GraphSize {
+            nodes: 179,
+            slots: 3622,
+            static_edges: 4043,
+            dynamic_edges: 1378,
+            pairs: 5645,
+            shortcut_stmts: 0,
+        }
+    );
+    // Every closure's skip list, as the size model counts them.
+    assert_eq!(opt.graph().size(true).shortcut_stmts, 50_279);
+}
