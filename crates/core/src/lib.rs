@@ -338,9 +338,7 @@ impl AnySlicer<'_> {
     pub fn resident_bytes(&self) -> u64 {
         match self {
             AnySlicer::Fp(fp) => fp.graph().size().bytes(),
-            AnySlicer::Opt(o) => {
-                o.graph().size(false).bytes() + o.graph().materialized_shortcut_bytes()
-            }
+            AnySlicer::Opt(o) => o.graph().resident_size().bytes(),
             AnySlicer::Lp(lp) => lp.file().index_bytes() as u64,
             AnySlicer::Forward(f) => f.resident_bytes(),
             AnySlicer::Paged(p) => p.resident_bytes(),
@@ -350,12 +348,14 @@ impl AnySlicer<'_> {
     /// Registers the build-time cost counters of the underlying
     /// representation (graph sizes, record-file layout, …) under its
     /// component prefix — the same keys the per-algorithm CLI paths have
-    /// always emitted.
+    /// always emitted. OPT's `graph.*` sizes count the shortcut closures
+    /// materialized so far, the rule [`Self::resident_bytes`] charges, so
+    /// reporting them materializes none.
     pub fn record_build_metrics(&self, reg: &Registry) {
         match self {
             AnySlicer::Fp(fp) => fp.graph().size().record_metrics(reg),
             AnySlicer::Opt(o) => {
-                o.graph().size(o.shortcuts).record_metrics(reg);
+                o.graph().resident_size().record_metrics(reg);
                 o.graph().stats.record_metrics(reg);
             }
             AnySlicer::Lp(lp) => {

@@ -6,12 +6,15 @@
 //! gracefully with a schema-valid metrics report whose `faults.*`
 //! counters reconcile with `server.panics`/`server.retries`.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::SpawnServer as _;
 use dynslice::protocol::{ErrorKind, Request, Response, ResponseBody};
 use dynslice::{Criterion, OptConfig, RunReport, Session, Slicer as _};
 
@@ -63,8 +66,7 @@ fn run_stdio_script(args: &[String], requests: &[Request]) -> BTreeMap<u64, Resp
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
     let mut stdin = child.stdin.take().unwrap();
     let mut stdout = BufReader::new(child.stdout.take().unwrap());
     let mut by_id = BTreeMap::new();
@@ -84,27 +86,13 @@ fn run_stdio_script(args: &[String], requests: &[Request]) -> BTreeMap<u64, Resp
         let response = Response::parse(&line.unwrap()).unwrap();
         by_id.insert(response.id, response.body);
     }
-    let out = wait_for_exit(child, Duration::from_secs(60));
+    let out = child.wait_for_exit(Duration::from_secs(60));
     assert!(
         out.status.success(),
         "server must exit cleanly even under faults; stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     by_id
-}
-
-fn wait_for_exit(mut child: Child, deadline: Duration) -> Output {
-    let start = Instant::now();
-    loop {
-        if child.try_wait().unwrap().is_some() {
-            return child.wait_with_output().unwrap();
-        }
-        if start.elapsed() > deadline {
-            child.kill().ok();
-            panic!("server did not exit within {deadline:?}");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
 }
 
 fn load_report(path: &Path) -> RunReport {
@@ -374,8 +362,7 @@ fn tcp_health_answers_before_the_handshake_gate() {
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
 
     let start = Instant::now();
     while !port_file.exists() {
@@ -421,6 +408,6 @@ fn tcp_health_answers_before_the_handshake_gate() {
     assert!(matches!(ask(&Request::health(4)), ResponseBody::Health { .. }));
     assert!(matches!(ask(&Request::shutdown(5)), ResponseBody::ShutdownAck));
 
-    let out = wait_for_exit(child, Duration::from_secs(60));
+    let out = child.wait_for_exit(Duration::from_secs(60));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }

@@ -3,13 +3,16 @@
 //! the multi-trace session lifecycle (load/slice/unload, LRU eviction
 //! under a memory budget, per-session result caches).
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{ServerProcess, SpawnServer as _};
 use dynslice::protocol::{ErrorKind, Request, Response, ResponseBody};
 use dynslice::{
     serve, Algo, Criterion, OptConfig, OwnedSlicer, Registry, RunReport, ServeConfig, Session,
@@ -112,8 +115,7 @@ fn run_stdio_script(args: &[String], requests: &[Request]) -> BTreeMap<u64, Resp
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
     let mut stdin = child.stdin.take().unwrap();
     let mut stdout = BufReader::new(child.stdout.take().unwrap());
     let mut by_id = BTreeMap::new();
@@ -135,23 +137,9 @@ fn run_stdio_script(args: &[String], requests: &[Request]) -> BTreeMap<u64, Resp
         let response = Response::parse(&line.unwrap()).unwrap();
         by_id.insert(response.id, response.body);
     }
-    let out = wait_for_exit(child, Duration::from_secs(60));
+    let out = child.wait_for_exit(Duration::from_secs(60));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     by_id
-}
-
-fn wait_for_exit(mut child: Child, deadline: Duration) -> Output {
-    let start = Instant::now();
-    loop {
-        if child.try_wait().unwrap().is_some() {
-            return child.wait_with_output().unwrap();
-        }
-        if start.elapsed() > deadline {
-            child.kill().ok();
-            panic!("server did not exit within {deadline:?}");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
 }
 
 /// ≥8 concurrent socket clients all get answers identical to a direct
@@ -180,8 +168,7 @@ fn concurrent_socket_clients_match_direct_slicer() {
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
 
     // The socket appears once the backend is built and the acceptor runs.
     let start = Instant::now();
@@ -219,7 +206,7 @@ fn concurrent_socket_clients_match_direct_slicer() {
     let ack = closer.shutdown().unwrap();
     assert!(matches!(ack.body, ResponseBody::ShutdownAck), "got {ack:?}");
 
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(!socket.exists(), "socket file is removed on shutdown");
 
@@ -258,8 +245,7 @@ fn slow_query_times_out_while_others_complete() {
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
 
     let mut by_id = BTreeMap::new();
     {
@@ -289,7 +275,7 @@ fn slow_query_times_out_while_others_complete() {
         // Dropping stdin is the stdio transport's graceful shutdown.
     }
 
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     match &by_id[&1] {
         ResponseBody::Error { kind, .. } => assert_eq!(*kind, ErrorKind::Timeout),
@@ -323,8 +309,7 @@ fn graceful_shutdown_flushes_a_reconciled_report() {
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
 
     {
         let mut stdin = child.stdin.take().unwrap();
@@ -335,7 +320,7 @@ fn graceful_shutdown_flushes_a_reconciled_report() {
         writeln!(stdin, "{}", Request::shutdown(5).to_json()).unwrap();
     }
 
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     let mut by_id = std::collections::BTreeMap::new();
@@ -402,8 +387,7 @@ fn concurrent_clients_interleave_session_lifecycles() {
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
 
     let start = Instant::now();
     while !socket.exists() {
@@ -502,7 +486,7 @@ fn concurrent_clients_interleave_session_lifecycles() {
     let ack = closer.shutdown().unwrap();
     assert!(matches!(ack.body, ResponseBody::ShutdownAck), "got {ack:?}");
 
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     let text = std::fs::read_to_string(&report).unwrap();
@@ -1132,9 +1116,9 @@ fn serve_snapshot_loads_and_digest_cache_round_trip() {
 // --- TCP transport ---------------------------------------------------
 
 /// Spawns `dynslice serve --tcp 127.0.0.1:0` plus `extra` flags and
-/// returns the child and the bound address read from `--port-file`
+/// returns the guarded child and the bound address read from `--port-file`
 /// (written only after a successful bind, so polling it never races).
-fn spawn_tcp_server(dir: &Path, extra: &[&str]) -> (Child, String) {
+fn spawn_tcp_server(dir: &Path, extra: &[&str]) -> (ServerProcess, String) {
     let program = write_program(dir);
     let port_file = dir.join("port");
     let mut args: Vec<String> = [
@@ -1156,8 +1140,7 @@ fn spawn_tcp_server(dir: &Path, extra: &[&str]) -> (Child, String) {
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
     let start = Instant::now();
     let addr = loop {
         match std::fs::read_to_string(&port_file) {
@@ -1266,7 +1249,7 @@ fn concurrent_tcp_clients_match_direct_slicer() {
     let ack = closer.shutdown().unwrap();
     assert!(matches!(ack.body, ResponseBody::ShutdownAck), "got {ack:?}");
 
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     let text = std::fs::read_to_string(&report).unwrap();
@@ -1330,7 +1313,7 @@ fn tcp_requires_the_versioned_hello() {
     // A well-versioned hello still gets through after all that.
     let mut closer = SliceClient::builder().tcp(addr).connect().unwrap();
     assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
@@ -1379,7 +1362,7 @@ fn tcp_max_connections_answers_busy() {
     assert!(matches!(response.body, ResponseBody::Slice { .. }), "{response:?}");
 
     assert!(matches!(second.shutdown().unwrap().body, ResponseBody::ShutdownAck));
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     let text = std::fs::read_to_string(&report).unwrap();
@@ -1436,7 +1419,7 @@ fn tcp_shutdown_mid_request_sends_shutting_down() {
     assert!(saw_slice, "the drained queue still answers the in-flight slice");
     assert!(saw_farewell, "the close is announced, not a bare EOF");
 
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
@@ -1469,7 +1452,7 @@ fn oversized_lines_get_the_typed_error_on_every_transport() {
         client.read_response().expect("ack").body,
         ResponseBody::ShutdownAck
     ));
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     // Same cap on the handshake-free stdio transport.
@@ -1487,14 +1470,13 @@ fn oversized_lines_get_the_typed_error_on_every_transport() {
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dynslice serve");
+        .spawn_server();
     {
         let mut stdin = child.stdin.take().unwrap();
         writeln!(stdin, "{{\"pad\":\"{}\"}}", "y".repeat(4096)).unwrap();
         writeln!(stdin, "{}", Request::slice(2, &Criterion::Output(0)).to_json()).unwrap();
     }
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success());
     let mut lines = BufReader::new(&out.stdout[..]).lines();
     let first = Response::parse(&lines.next().expect("oversized answered").unwrap()).unwrap();
@@ -1522,7 +1504,7 @@ fn tcp_idle_connections_are_reaped() {
 
     let mut closer = SliceClient::builder().tcp(addr).connect().unwrap();
     assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
@@ -1563,7 +1545,7 @@ fn tcp_partial_line_trickle_is_reaped() {
 
     let mut closer = SliceClient::builder().tcp(addr).connect().unwrap();
     assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
@@ -1616,7 +1598,7 @@ fn unix_and_tcp_serve_concurrently_with_unix_handshake_free() {
     }
 
     assert!(matches!(unix.shutdown().unwrap().body, ResponseBody::ShutdownAck));
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     let text = std::fs::read_to_string(&report).unwrap();
@@ -1649,7 +1631,7 @@ fn idle_tcp_client_gets_the_farewell_on_shutdown() {
         other => panic!("idle client got {other:?}"),
     }
     assert!(idle.read_response().is_none(), "EOF follows the farewell");
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
@@ -1679,7 +1661,7 @@ fn sigterm_shuts_down_gracefully_with_a_valid_report() {
         other => panic!("idle client got {other:?}"),
     }
     assert!(idle.read_response().is_none(), "EOF follows the farewell");
-    let out = wait_for_exit(child, Duration::from_secs(5));
+    let out = child.wait_for_exit(Duration::from_secs(5));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     let validated = bin().args(["metrics-validate", report.to_str().unwrap()]).output().unwrap();
@@ -1752,7 +1734,7 @@ fn one_shot_dials_are_answered_without_an_accept_delay() {
 
     let mut closer = SliceClient::builder().tcp(addr).connect().unwrap();
     assert!(matches!(closer.shutdown().unwrap().body, ResponseBody::ShutdownAck));
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
@@ -1781,6 +1763,16 @@ fn report_pins_every_server_counter() {
     std::fs::write(&loopy, LOOPY).unwrap();
     let loopy = loopy.to_str().unwrap();
     let report = dir.join("report.json");
+    // The paged slice of LOOPY at one resident page reads thousands of
+    // pages: about a second in a debug build, well past a 500 ms
+    // deadline. The deadline scales with the build, and the slow job's
+    // delay stays twice the deadline so that job still overruns it.
+    let deadline_ms: u64 = if cfg!(debug_assertions) { 5_000 } else { 500 };
+    let timeout = deadline_ms.to_string();
+    let faults = format!(
+        "request:panic@5,request:panic@6,request:delay={}ms@15,paged_read:err@1",
+        2 * deadline_ms
+    );
     let (child, addr) = spawn_tcp_server(
         &dir,
         &[
@@ -1791,7 +1783,7 @@ fn report_pins_every_server_counter() {
             "--queue-depth",
             "1",
             "--timeout-ms",
-            "500",
+            &timeout,
             "--max-connections",
             "2",
             "--max-line-bytes",
@@ -1809,7 +1801,7 @@ fn report_pins_every_server_counter() {
             "--fault-plan",
             // `request` fires once per job a worker picks up: jobs 5 and 6
             // are the two slices against `d1`, job 15 is the slow slice.
-            "request:panic@5,request:panic@6,request:delay=1000ms@15,paged_read:err@1",
+            &faults,
             "--metrics-json",
             report.to_str().unwrap(),
         ],
@@ -1877,10 +1869,10 @@ fn report_pins_every_server_counter() {
         other => panic!("list answered {other:?}"),
     };
 
-    // The slow slice holds the only worker for 1 s: once `health` shows
-    // it dequeued, one request fills the one-slot queue and the next is
-    // rejected. Both the slow slice and the queued one outlive the
-    // 500 ms deadline.
+    // The slow slice holds the only worker for twice the deadline: once
+    // `health` shows it dequeued, one request fills the one-slot queue
+    // and the next is rejected. Both the slow slice and the queued one
+    // outlive the deadline.
     a.send(&Request::slice(19, &out0).to_json());
     let mut replies = BTreeMap::new();
     let mut polls = 0;
@@ -1926,7 +1918,7 @@ fn report_pins_every_server_counter() {
     let farewell = a.read_response().expect("farewell");
     assert_eq!(kind(&farewell.body), Some(ErrorKind::ShuttingDown));
     assert!(a.read_response().is_none());
-    let out = wait_for_exit(child, Duration::from_secs(30));
+    let out = child.wait_for_exit(Duration::from_secs(30));
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     let parsed = RunReport::from_json(&std::fs::read_to_string(&report).unwrap()).unwrap();

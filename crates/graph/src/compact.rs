@@ -655,15 +655,15 @@ impl CompactGraph {
         self.shortcuts.materialized.load(Ordering::Relaxed)
     }
 
-    /// Bytes, under the size model, of the shortcut closures materialized
-    /// so far — a running count, so measuring never materializes anything
-    /// (unlike [`Self::size`] with shortcuts, which walks every occurrence).
-    pub fn materialized_shortcut_bytes(&self) -> u64 {
+    /// The size model of what the graph holds right now: [`Self::size`]
+    /// without shortcuts, plus the shortcut closures materialized so far —
+    /// a running count, so measuring never materializes anything (unlike
+    /// [`Self::size`] with shortcuts, which walks every occurrence).
+    pub fn resident_size(&self) -> GraphSize {
         GraphSize {
             shortcut_stmts: self.shortcuts.materialized_stmts.load(Ordering::Relaxed),
-            ..GraphSize::default()
+            ..self.size(false)
         }
-        .bytes()
     }
 
     /// Expands occurrence `occ` into `stmts`/`frontier`: its statement, all

@@ -28,14 +28,20 @@
 //! * the page cache is **sharded** — page `b` lives in shard
 //!   `b % num_shards`, each shard behind its own [`Mutex`], so concurrent
 //!   workers touching different pages rarely contend;
-//! * within a shard eviction is **true LRU**: every hit refreshes the
-//!   page's recency stamp, so hot pages survive regardless of insertion
-//!   age (the original single-threaded cache was FIFO by mistake);
-//! * a hit searches its run (a few comparisons) under the shard lock, so
-//!   the hot path clones no [`Arc`]; a miss reads and decodes with no
-//!   lock held and shares the new page with the shard through an `Arc`;
-//!   shard maps hash page ids with the crate's multiply-rotate hasher (the
-//!   one OPT's visited set uses), not SipHash;
+//! * the hot path is a **per-query pin table**, not the shared cache. A
+//!   query pins each page it takes from the cache (an [`Arc`] clone) in a
+//!   direct-mapped table of `min(resident budget, spilled pages)` slots,
+//!   and a lookup on a pinned page runs its binary search with no lock,
+//!   hash probe or atomic. Only a query's first touch of a page, or a
+//!   slot conflict, locks a shard. A pin hit counts as a hit, so
+//!   `hits + misses` stays the page lookups;
+//! * within a shard eviction is **true LRU**: every shared-cache hit
+//!   refreshes the page's recency stamp, so hot pages survive regardless
+//!   of insertion age (the original single-threaded cache was FIFO by
+//!   mistake); a miss reads and decodes with no lock held and shares the
+//!   new page with the shard through an `Arc`; shard maps hash page ids
+//!   with the crate's multiply-rotate hasher (the one OPT's visited set
+//!   uses), not SipHash;
 //! * disk reads go through **one shared handle** using positioned reads
 //!   ([`std::os::unix::fs::FileExt::read_exact_at`] on Unix) — a miss never
 //!   re-opens the spill file, and two threads can read concurrently;
@@ -45,6 +51,14 @@
 //!   query tallies its own traffic, so per-query figures never mix in a
 //!   concurrent query's reads; its hits reach the shared atomics once,
 //!   when the query ends, rather than once per lookup.
+//!
+//! # Memory bound
+//!
+//! A pin aliases a page the shared cache holds or has since evicted, so
+//! each in-flight query keeps at most one resident budget of extra pages
+//! alive (512 KiB at the default 128 pages), and releases them when it
+//! ends. Like OPT's visited set and statement bitmap this is walk
+//! scratch: [`PagedGraph::resident_bytes`] does not charge it.
 
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -270,6 +284,8 @@ pub struct PagedGraph {
     /// Sharded resident block cache; block `b` lives in shard
     /// `b % shards.len()`.
     shards: Vec<Mutex<CacheShard>>,
+    /// Resident-page budget, summed over the shards.
+    resident_blocks: usize,
     /// Whether queries traverse shortcut edges (the paper's default), as
     /// [`CompactGraph::slice`]'s `use_shortcuts` does for OPT.
     pub shortcuts: bool,
@@ -376,6 +392,7 @@ impl PagedGraph {
             blocks,
             index,
             shards,
+            resident_blocks,
             shortcuts: true,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -402,7 +419,7 @@ impl PagedGraph {
 
     /// Total resident-page budget across all shards.
     pub fn resident_block_budget(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard").capacity).sum()
+        self.resident_blocks
     }
 
     /// Cache statistics accumulated so far (a consistent-enough snapshot of
@@ -442,10 +459,7 @@ impl PagedGraph {
     /// the blocks *actually* resident right now, and the shortcut closures
     /// materialized so far. Nothing here materializes a closure.
     pub fn resident_bytes(&self) -> u64 {
-        self.graph.size(false).bytes()
-            + self.index_bytes()
-            + self.resident_block_bytes()
-            + self.graph.materialized_shortcut_bytes()
+        self.graph.resident_size().bytes() + self.index_bytes() + self.resident_block_bytes()
     }
 
     /// Bytes of the run and block index.
@@ -470,23 +484,18 @@ impl PagedGraph {
         );
     }
 
-    /// Runs `f` over block `id`'s pairs, from cache or disk, tallying the
+    /// Block `id`'s pairs, from the shared cache or disk, tallying the
     /// lookup in the caller's `query`. Lock discipline: a hit refreshes
-    /// the block's LRU stamp and runs `f` (a search of one short run)
-    /// under the shard lock; a miss reads with no lock held and counts in
-    /// the graph's atomics only once the read succeeds. Hits reach the
+    /// the block's LRU stamp and clones its `Arc` under the shard lock; a
+    /// miss reads with no lock held, counts in the graph's atomics only
+    /// once the read succeeds, and then inserts the block. Hits reach the
     /// atomics when the query ends ([`PagedGraph::slice_with_stats`]), so
     /// concurrent queries do not contend on one counter per lookup.
-    fn with_block<R>(
-        &self,
-        id: u32,
-        query: &mut PagedStats,
-        f: impl FnOnce(&[(u64, u64)]) -> R,
-    ) -> io::Result<R> {
+    fn fetch_block(&self, id: u32, query: &mut PagedStats) -> io::Result<Block> {
         let shard = &self.shards[id as usize % self.shards.len()];
         if let Some(block) = shard.lock().expect("cache shard").touch(id) {
             query.hits += 1;
-            return Ok(f(block));
+            return Ok(Arc::clone(block));
         }
         // Miss: read through the shared handle without any lock. Two
         // threads racing on the same block both read (identical bytes);
@@ -517,9 +526,8 @@ impl PagedGraph {
         self.bytes_read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         query.misses += 1;
         query.bytes_read += buf.len() as u64;
-        let found = f(&block);
-        shard.lock().expect("cache shard").insert(id, block);
-        Ok(found)
+        shard.lock().expect("cache shard").insert(id, Arc::clone(&block));
+        Ok(block)
     }
 
     /// Reads spill bytes at `offset`, retrying a transient failure with
@@ -568,7 +576,7 @@ impl PagedGraph {
         occ: u32,
         ts: u64,
     ) -> io::Result<(BTreeSet<StmtId>, TraversalStats, PagedStats)> {
-        let mut reader = PageReader { graph: self, query: PagedStats::default() };
+        let mut reader = PageReader::new(self);
         let mut stats = TraversalStats::default();
         let slice = self.graph.slice_in(&mut reader, occ, ts, self.shortcuts, &mut stats);
         self.hits.fetch_add(reader.query.hits, Ordering::Relaxed);
@@ -582,10 +590,34 @@ impl PagedGraph {
 }
 
 /// One query's view of the page cache: label lookups for OPT's traversal,
-/// tallying the query's own hits, misses and bytes read.
+/// tallying the query's own hits, misses and bytes read. Pages it takes
+/// from the shared cache stay pinned for the rest of the query (see the
+/// module docs): page `b` sits in slot `b % pins.len()`.
 struct PageReader<'g> {
     graph: &'g PagedGraph,
     query: PagedStats,
+    /// `(page id, page)` per slot; `None` until the slot's first touch.
+    pins: Vec<Option<(u32, Block)>>,
+}
+
+impl<'g> PageReader<'g> {
+    fn new(graph: &'g PagedGraph) -> Self {
+        let slots = graph.resident_blocks.min(graph.blocks.len()).max(1);
+        PageReader { graph, query: PagedStats::default(), pins: vec![None; slots] }
+    }
+
+    /// Page `id`'s pairs: pinned already, or taken from the shared cache
+    /// (or disk) and pinned in place of the slot's previous page.
+    fn page(&mut self, id: u32) -> io::Result<&[(u64, u64)]> {
+        let slot = id as usize % self.pins.len();
+        if matches!(&self.pins[slot], Some((pinned, _)) if *pinned == id) {
+            self.query.hits += 1;
+        } else {
+            let page = self.graph.fetch_block(id, &mut self.query)?;
+            self.pins[slot] = Some((id, page));
+        }
+        Ok(&self.pins[slot].as_ref().expect("slot pinned above").1)
+    }
 }
 
 impl LabelSearch for PageReader<'_> {
@@ -599,10 +631,8 @@ impl LabelSearch for PageReader<'_> {
             return Ok(None);
         }
         let (_, block, start, len) = runs[pos - 1];
-        self.graph.with_block(block, &mut self.query, |pairs| {
-            let run = &pairs[start as usize..(start + len) as usize];
-            run.binary_search_by_key(&tu, |&(_, u)| u).ok().map(|i| run[i].0)
-        })
+        let run = &self.page(block)?[start as usize..(start + len) as usize];
+        Ok(run.binary_search_by_key(&tu, |&(_, u)| u).ok().map(|i| run[i].0))
     }
 }
 
@@ -715,7 +745,7 @@ mod tests {
         assert!(paged.blocks.len() >= 3, "need at least 3 blocks");
         assert_eq!(paged.shards.len(), 1);
         let query = &mut PagedStats::default();
-        let load = |id, query: &mut PagedStats| paged.with_block(id, query, |_| ()).unwrap();
+        let load = |id, query: &mut PagedStats| paged.fetch_block(id, query).unwrap();
         load(0, query); // miss
         load(1, query); // miss
         load(0, query); // hit — must refresh 0's recency
@@ -767,7 +797,7 @@ mod tests {
         let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
         let paged = PagedGraph::spill(opt, spill_path("shortcut-bytes"), 2).unwrap();
         let g = paged.graph();
-        assert_eq!(g.materialized_shortcut_bytes(), 0, "fresh graph charges no shortcuts");
+        assert_eq!(g.resident_size(), g.size(false), "fresh graph charges no shortcuts");
         assert_eq!(
             paged.resident_bytes(),
             g.size(false).bytes() + paged.index_bytes() + paged.resident_block_bytes()
@@ -778,7 +808,7 @@ mod tests {
             let (occ, ts) = paged.last_def_of(cell).unwrap();
             paged.slice(occ, ts).unwrap();
         }
-        let shortcut_bytes = g.materialized_shortcut_bytes();
+        let shortcut_bytes = g.resident_size().bytes() - g.size(false).bytes();
         assert!(shortcut_bytes > 0, "slicing should materialize closures");
         let materialized = g.shortcuts_materialized();
         assert_eq!(
@@ -902,7 +932,7 @@ mod tests {
         let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
         let mut paged = PagedGraph::spill(opt, spill_path("overflow"), 2).unwrap();
         paged.blocks[0].len = u64::MAX / 2; // `len * PAIR_BYTES` cannot fit
-        let err = paged.with_block(0, &mut PagedStats::default(), |_| ()).unwrap_err();
+        let err = paged.fetch_block(0, &mut PagedStats::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -935,5 +965,64 @@ mod tests {
         });
         let st = paged.stats();
         assert!(st.hits > 0 && st.misses > 0, "{st:?}");
+    }
+
+    /// Spills `src`'s OPT graph with a budget far above its page count.
+    fn spill_all_resident(src: &str, name: &str) -> PagedGraph {
+        let (p, a, t) = setup(src);
+        let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
+        PagedGraph::spill(opt, spill_path(name), 1 << 16).unwrap()
+    }
+
+    /// Every criterion of `paged`, in a fixed order.
+    fn criteria(paged: &PagedGraph) -> Vec<(u32, u64)> {
+        let mut cells: Vec<_> = paged.graph().last_def.keys().copied().collect();
+        cells.sort();
+        cells.into_iter().map(|c| paged.last_def_of(c).unwrap()).collect()
+    }
+
+    /// When the budget covers every spilled page, a query's pin table has
+    /// a slot per page, so it takes each page from the shared cache once:
+    /// its misses are at most the distinct pages it touched, and no page
+    /// is ever read twice.
+    #[test]
+    fn misses_are_bounded_by_the_pages_a_query_touches() {
+        let paged = spill_all_resident(MANY_BLOCKS_SRC, "pin-bound");
+        assert!(paged.blocks.len() >= 3, "need several pages");
+        for (occ, ts) in criteria(&paged) {
+            let mut reader = PageReader::new(&paged);
+            assert_eq!(reader.pins.len(), paged.blocks.len(), "one slot per page");
+            paged
+                .graph
+                .slice_in(&mut reader, occ, ts, paged.shortcuts, &mut TraversalStats::default())
+                .unwrap();
+            let touched = reader.pins.iter().flatten().count() as u64;
+            assert!(touched > 0, "the walk read labels");
+            assert!(reader.query.misses <= touched, "{:?} over {touched} pages", reader.query);
+        }
+        assert!(paged.stats().misses <= paged.blocks.len() as u64, "{:?}", paged.stats());
+    }
+
+    /// Repeating a query on a warm cache reads nothing from disk, and a
+    /// query's `hits + misses` is its page lookups whatever the budget: a
+    /// pin hit counts as a hit.
+    #[test]
+    fn repeated_query_on_a_warm_cache_reads_nothing() {
+        let paged = spill_all_resident(SRC, "warm");
+        let (p, a, t) = setup(SRC);
+        let opt = build_compact(&p, &a, &t.events, &OptConfig::default());
+        let one_page = PagedGraph::spill(opt, spill_path("warm-one-page"), 1).unwrap();
+        let mut lookups = 0;
+        for (occ, ts) in criteria(&paged) {
+            let (slice, _, cold) = paged.slice_with_stats(occ, ts).unwrap();
+            let (again, _, warm) = paged.slice_with_stats(occ, ts).unwrap();
+            assert_eq!(slice, again);
+            assert_eq!((warm.misses, warm.bytes_read), (0, 0), "warm repeat read: {warm:?}");
+            assert_eq!(warm.hits, cold.hits + cold.misses, "same lookups");
+            let (_, _, thrashed) = one_page.slice_with_stats(occ, ts).unwrap();
+            assert_eq!(thrashed.hits + thrashed.misses, warm.hits, "lookups varied with the budget");
+            lookups += warm.hits;
+        }
+        assert!(lookups > 0, "the walks read labels");
     }
 }

@@ -147,14 +147,14 @@ fn materialization_counter_is_bounded_and_saturates() {
     assert_eq!(g.shortcuts_materialized(), occs);
 }
 
-/// The running count of materialized shortcut bytes follows racing
+/// The running count of materialized shortcut statements follows racing
 /// writers exactly: only the winner of a slot adds its closure, so once
-/// `size(true)` has materialized every closure the count equals the skip
-/// lists `size(true)` charges.
+/// `size(true)` has materialized every closure the graph's resident size
+/// is `size(true)`.
 #[test]
 fn materialized_shortcut_bytes_match_the_size_model() {
     let (_p, g) = build();
-    assert_eq!(g.materialized_shortcut_bytes(), 0);
+    assert_eq!(g.resident_size(), g.size(false));
     let qs = criteria(&g);
     std::thread::scope(|scope| {
         for _ in 0..4 {
@@ -167,9 +167,9 @@ fn materialized_shortcut_bytes_match_the_size_model() {
             });
         }
     });
-    let sliced = g.materialized_shortcut_bytes();
+    let sliced = g.resident_size().shortcut_stmts;
     assert!(sliced > 0, "slicing materialized no multi-statement closure");
-    let full = g.size(true).bytes() - g.size(false).bytes();
-    assert!(sliced <= full, "{sliced} > {full}");
-    assert_eq!(g.materialized_shortcut_bytes(), full);
+    let full = g.size(true);
+    assert!(sliced <= full.shortcut_stmts, "{sliced} > {}", full.shortcut_stmts);
+    assert_eq!(g.resident_size(), full);
 }
