@@ -6,13 +6,15 @@ use dynslice_bench::*;
 
 fn main() {
     header("Table 5", "preprocessing time: LP vs OPT");
+    println!("   (median of {PREPROCESS_RUNS} builds per program and backend)");
     println!("{:<12} {:>12} {:>12} {:>10}", "program", "OPT (ms)", "LP (ms)", "LP/OPT");
     let dir = std::env::temp_dir().join("dynslice-bench");
     std::fs::create_dir_all(&dir).unwrap();
     for p in prepare_all() {
-        let (_, opt) = time(|| p.session.opt(&p.trace, &OptConfig::default()));
-        let (_, lp) =
-            time(|| p.session.lp(&p.trace, dir.join(format!("{}.t5", p.name))).unwrap());
+        let opt = median_time(PREPROCESS_RUNS, || p.session.opt(&p.trace, &OptConfig::default()));
+        let lp = median_time(PREPROCESS_RUNS, || {
+            p.session.lp(&p.trace, dir.join(format!("{}.t5", p.name))).unwrap()
+        });
         println!(
             "{:<12} {:>12} {:>12} {:>10.2}",
             p.name,

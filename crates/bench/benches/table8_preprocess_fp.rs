@@ -7,10 +7,11 @@ use dynslice_bench::*;
 
 fn main() {
     header("Table 8", "preprocessing time: FP vs OPT");
+    println!("   (median of {PREPROCESS_RUNS} builds per program and backend)");
     println!("{:<12} {:>12} {:>12} {:>10}", "program", "OPT (ms)", "FP (ms)", "FP/OPT");
     for p in prepare_all() {
-        let (_, opt) = time(|| p.session.opt(&p.trace, &OptConfig::default()));
-        let (_, fp) = time(|| p.session.fp(&p.trace));
+        let opt = median_time(PREPROCESS_RUNS, || p.session.opt(&p.trace, &OptConfig::default()));
+        let fp = median_time(PREPROCESS_RUNS, || p.session.fp(&p.trace));
         println!(
             "{:<12} {:>12} {:>12} {:>10.2}",
             p.name,

@@ -59,6 +59,17 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t0.elapsed())
 }
 
+/// Runs per preprocessing measurement (Tables 4, 5 and 8).
+pub const PREPROCESS_RUNS: usize = 5;
+
+/// The median wall-clock time of `runs` calls of `f`: a single build's
+/// time swings with allocator and cache warm-up.
+pub fn median_time<R>(runs: usize, mut f: impl FnMut() -> R) -> Duration {
+    let mut times: Vec<Duration> = (0..runs.max(1)).map(|_| time(&mut f).1).collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
 /// The query set for a prepared workload: up to `num_queries()` distinct
 /// defined cells, evenly spaced (the paper's "25 distinct memory
 /// references").

@@ -883,7 +883,10 @@ fn async_load_acks_immediately_and_wait_slices_block() {
 
 /// Deadlines apply to waiting, too: a `wait` slice against a session
 /// whose build outlives `--timeout-ms` answers `timeout` instead of
-/// blocking indefinitely, and the build still lands afterwards.
+/// blocking indefinitely, and the build still lands afterwards. A
+/// `build:delay` fault makes every build outlive the deadline whatever
+/// the host's speed: `SLOW_PROGRAM` alone builds in about the 40 ms
+/// deadline in a release build.
 #[test]
 fn wait_slice_times_out_while_the_session_is_still_loading() {
     let dir = work_dir("wait-timeout");
@@ -900,6 +903,8 @@ fn wait_slice_times_out_while_the_session_is_still_loading() {
         "1",
         "--timeout-ms",
         "40",
+        "--fault-plan",
+        "build:delay=400ms",
         "--metrics-json",
         report.to_str().unwrap(),
     ]

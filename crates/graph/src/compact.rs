@@ -25,6 +25,17 @@
 //!   the sorted result set once, at the end;
 //! * shortcut closures list their statements and frontier sorted, so walks
 //!   (and the paged backend's page-access order) are deterministic.
+//!
+//! # Build state
+//!
+//! Replay callbacks always name the innermost activation, so the builder's
+//! per-frame shadow state is an activation stack, not maps keyed by
+//! [`FrameId`]: each frame holds its variables' last definitions indexed
+//! by variable slot, its blocks' last executions indexed by block id, its
+//! call site and its returned instance; only its use-use memo is a
+//! (fast-hashed) map. An exited frame's buffers go to the next frame
+//! entered. The memory shadow map, keyed by program-chosen addresses,
+//! keeps SipHash.
 
 use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
@@ -32,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use dynslice_analysis::ProgramAnalysis;
-use dynslice_ir::{BlockId, FuncId, Program, StmtId, StmtKind, StmtPos, Terminator, VarId};
+use dynslice_ir::{BlockId, FuncId, Program, StmtId, StmtKind, StmtPos, Terminator};
 use dynslice_profile::ProgramPaths;
 use dynslice_runtime::{replay, Cell, FrameId, ReplayVisitor, StmtCx, TraceEvent};
 
@@ -317,12 +328,10 @@ impl CompactGraph {
             assigns,
             assign_pos: 0,
             next_ts: 0,
-            scalar: HashMap::new(),
             mem: HashMap::new(),
-            ret: HashMap::new(),
             last_ret: None,
-            frames: HashMap::new(),
-            call_site: HashMap::new(),
+            frames: Vec::new(),
+            spare: Vec::new(),
         };
         replay(program, events, &mut b);
         let ts = b.next_ts;
@@ -810,7 +819,7 @@ impl CompactGraph {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct FrameState {
     node: u32,
     ts: u64,
@@ -980,23 +989,86 @@ struct Builder<'p> {
     assigns: Vec<Assign>,
     assign_pos: usize,
     next_ts: u64,
-    scalar: HashMap<(FrameId, VarId), (u32, u64)>,
+    /// Last definition of every memory cell. Cells are addresses the
+    /// traced program computes, so this map keeps std's SipHash (see
+    /// [`crate::fast_hash`]).
     mem: HashMap<Cell, (u32, u64)>,
-    ret: HashMap<FrameId, (u32, u64)>,
+    /// The returning instance of the activation that just exited, taken by
+    /// its caller's `call_returned`.
     last_ret: Option<(u32, u64)>,
-    frames: HashMap<FrameId, FrameInfo>,
-    call_site: HashMap<FrameId, (u32, u64)>,
+    /// The activation stack, innermost last. Replay callbacks always name
+    /// the innermost activation ([`top`] asserts it), so per-frame state
+    /// is a stack slot rather than a map keyed by [`FrameId`].
+    frames: Vec<FrameInfo>,
+    /// Exited activations, kept for their buffers: each activation entered
+    /// takes one over.
+    spare: Vec<FrameInfo>,
 }
 
+/// The shadow state of one live activation.
 struct FrameInfo {
+    frame: FrameId,
     state: FrameState,
+    /// The call statement instance that created this activation (none for
+    /// the entry activation): the control parent of blocks with no
+    /// executed ancestor.
+    call_site: Option<(u32, u64)>,
+    /// Last definition of each variable slot of the function.
+    vars: Vec<Option<(u32, u64)>>,
     /// Last execution of each block: `(terminator occurrence, ts, seq)`.
-    last_exec: HashMap<BlockId, (u32, u64, u64)>,
+    last_exec: Vec<Option<(u32, u64, u64)>>,
     /// Per-frame block sequence counter (recency tie-breaker matching FP).
     seq: u64,
     /// Memoized actual resolutions of memory uses in the current node
     /// instance, for use-use verification.
-    memo: HashMap<(u32, u8), Option<(u32, u64)>>,
+    memo: FastMap<(u32, u8), Option<(u32, u64)>>,
+    /// The instance of the `return` this activation executed, if any.
+    ret: Option<(u32, u64)>,
+}
+
+impl FrameInfo {
+    /// A new activation of a function with `num_vars` variable slots and
+    /// `num_blocks` blocks, created by the call instance `call_site`. It
+    /// takes over the buffers of `spare`, an exited activation, if given;
+    /// every field is set here, so none of that activation's state
+    /// survives.
+    fn new(
+        frame: FrameId,
+        num_vars: usize,
+        num_blocks: usize,
+        call_site: Option<(u32, u64)>,
+        spare: Option<FrameInfo>,
+    ) -> Self {
+        let (mut vars, mut last_exec, mut memo) =
+            spare.map_or_else(Default::default, |fi| (fi.vars, fi.last_exec, fi.memo));
+        vars.clear();
+        vars.resize(num_vars, None);
+        last_exec.clear();
+        last_exec.resize(num_blocks, None);
+        memo.clear();
+        FrameInfo {
+            frame,
+            state: FrameState::default(),
+            call_site,
+            vars,
+            last_exec,
+            seq: 0,
+            memo,
+            ret: None,
+        }
+    }
+}
+
+/// The innermost live activation, which must be `frame`.
+///
+/// # Panics
+/// Panics if no activation is live or `frame` is not the innermost one:
+/// the trace is out of sync with the replay.
+#[inline]
+fn top(frames: &mut [FrameInfo], frame: FrameId) -> &mut FrameInfo {
+    let fi = frames.last_mut().expect("callback with no live frame");
+    assert!(fi.frame == frame, "callback for {frame:?}, but {:?} is innermost", fi.frame);
+    fi
 }
 
 impl Builder<'_> {
@@ -1008,35 +1080,24 @@ impl Builder<'_> {
         self.store.record_cd_pair(self.nodes, &mut self.stats, key_occ, target, tp, tc);
     }
 
-    /// Processes one use site: verify the static inference or record a
-    /// dynamic label.
-    fn handle_use(
-        &mut self,
-        frame: FrameId,
-        occ: u32,
-        k: u8,
-        shape: &UseShape,
-        cell: Option<Cell>,
-        ts: u64,
-    ) {
-        let actual: Option<(u32, u64)> = match shape {
-            UseShape::Scalar(v) => self.scalar.get(&(frame, *v)).copied(),
+    /// Processes one use site of the innermost activation: verify the
+    /// static inference or record a dynamic label.
+    fn handle_use(&mut self, occ: u32, k: u8, shape: &UseShape, cell: Option<Cell>, ts: u64) {
+        let fi = self.frames.last_mut().expect("use in a live frame");
+        let (actual, is_mem) = match shape {
+            UseShape::Scalar(v) => (fi.vars[v.index()], false),
             UseShape::Mem => {
                 let c = cell.expect("memory use has a traced cell");
-                self.mem.get(&c).copied()
+                let actual = self.mem.get(&c).copied();
+                fi.memo.insert((occ, k), actual);
+                (actual, true)
             }
             UseShape::Ret => return, // resolved at call_returned
         };
         if actual.is_some() {
             self.stats.total_data += 1;
         }
-        let res = self.nodes.use_res[occ as usize][k as usize];
-        let is_mem = matches!(shape, UseShape::Mem);
-        if is_mem {
-            let fi = self.frames.get_mut(&frame).expect("live frame");
-            fi.memo.insert((occ, k), actual);
-        }
-        match res {
+        match self.nodes.use_res[occ as usize][k as usize] {
             UseRes::StaticDu { target, attr } => {
                 if !is_mem {
                     // Scalars cannot alias; inference always holds.
@@ -1051,7 +1112,6 @@ impl Builder<'_> {
                 if !is_mem {
                     self.stats.save(attr);
                 } else {
-                    let fi = self.frames.get(&frame).expect("live frame");
                     let expected = fi.memo.get(&(target, use_idx)).copied().flatten();
                     if actual == expected {
                         self.stats.save(attr);
@@ -1079,27 +1139,17 @@ impl Builder<'_> {
 
 impl ReplayVisitor for Builder<'_> {
     fn frame_enter(&mut self, frame: FrameId, func: FuncId, call: Option<(FrameId, StmtId)>) {
-        if let Some((caller, _stmt)) = call {
-            let (occ, ts) = {
-                let ci = &self.frames[&caller];
-                (ci.state.pending_call, ci.state.ts)
-            };
-            self.call_site.insert(frame, (occ, ts));
-            // Parameter passing: parameter slots are defined by the call
-            // statement occurrence (see the FP builder for the rationale).
-            for i in 0..self.program.func(func).params {
-                self.scalar.insert((frame, VarId(i)), (occ, ts));
-            }
-        }
-        self.frames.insert(
-            frame,
-            FrameInfo {
-                state: FrameState { node: 0, ts: 0, block_occ_base: 0, pending_call: 0 },
-                last_exec: HashMap::new(),
-                seq: 0,
-                memo: HashMap::new(),
-            },
-        );
+        let call_site = call.map(|(caller, _stmt)| {
+            let ci = top(&mut self.frames, caller);
+            (ci.state.pending_call, ci.state.ts)
+        });
+        let f = self.program.func(func);
+        let spare = self.spare.pop();
+        let mut fi = FrameInfo::new(frame, f.num_vars as usize, f.blocks.len(), call_site, spare);
+        // Parameter passing: parameter slots are defined by the call
+        // statement occurrence (see the FP builder for the rationale).
+        fi.vars[..f.params as usize].fill(call_site);
+        self.frames.push(fi);
     }
 
     fn block_enter(&mut self, frame: FrameId, func: FuncId, block: BlockId) {
@@ -1107,28 +1157,31 @@ impl ReplayVisitor for Builder<'_> {
         self.assign_pos += 1;
         let node_base = self.nodes.node_base[assign.node as usize];
         let slot_off = self.nodes.nodes[assign.node as usize].slot_offsets[assign.slot as usize];
-        // Compute the dynamic control parent before touching frame state.
-        let ancestors = self.analysis.func(func).cd.ancestors(block).to_vec();
-        let (parent, next_seq, ts) = {
-            let fi = self.frames.get_mut(&frame).expect("live frame");
-            if assign.start {
-                fi.state.node = assign.node;
-                fi.state.ts = self.next_ts;
-                self.next_ts += 1;
-                fi.memo.clear();
-            }
-            fi.state.block_occ_base = node_base + slot_off;
-            let parent = ancestors
-                .iter()
-                .filter_map(|a| fi.last_exec.get(a).map(|&(o, t, s)| (o, t, s)))
-                .max_by_key(|&(_, _, s)| s)
-                .map(|(o, t, _)| (o, t));
-            fi.seq += 1;
-            (parent, fi.seq, fi.state.ts)
-        };
-        let parent = parent.or_else(|| self.call_site.get(&frame).copied());
-        self.stats.total_control += 1;
+        let ancestors = self.analysis.func(func).cd.ancestors(block);
+        let fi = top(&mut self.frames, frame);
+        if assign.start {
+            fi.state.node = assign.node;
+            fi.state.ts = self.next_ts;
+            self.next_ts += 1;
+            fi.memo.clear();
+        }
+        fi.state.block_occ_base = node_base + slot_off;
+        // The dynamic control parent: the most recently executed ancestor,
+        // else the call site.
+        let parent = ancestors
+            .iter()
+            .filter_map(|a| fi.last_exec[a.index()])
+            .max_by_key(|&(_, _, s)| s)
+            .map(|(o, t, _)| (o, t))
+            .or(fi.call_site);
+        fi.seq += 1;
+        let (seq, ts) = (fi.seq, fi.state.ts);
+        // Record this block's execution for future parent lookups: its
+        // terminator occurrence in the current node.
         let key_occ = node_base + slot_off;
+        let term_occ = key_occ + self.program.func(func).block(block).stmts.len() as u32;
+        fi.last_exec[block.index()] = Some((term_occ, ts, seq));
+        self.stats.total_control += 1;
         match self.nodes.cd_res[key_occ as usize] {
             CdRes::Static { target, delta, attr } => {
                 if ts >= delta && parent == Some((target, ts - delta)) {
@@ -1149,19 +1202,11 @@ impl ReplayVisitor for Builder<'_> {
                 }
             }
         }
-        // Record this block's execution for future parent lookups: its
-        // terminator occurrence in the current node.
-        let bb = self.program.func(func).block(block);
-        let term_occ = key_occ + bb.stmts.len() as u32;
-        let fi = self.frames.get_mut(&frame).expect("live frame");
-        fi.last_exec.insert(block, (term_occ, ts, next_seq));
     }
 
     fn stmt(&mut self, cx: StmtCx) {
-        let (base, ts) = {
-            let fi = &self.frames[&cx.frame];
-            (fi.state.block_occ_base, fi.state.ts)
-        };
+        let fi = top(&mut self.frames, cx.frame);
+        let (base, ts) = (fi.state.block_occ_base, fi.state.ts);
         let idx_in_block = match cx.pos {
             StmtPos::Stmt(i) => i,
             StmtPos::Term => self.program.func(cx.func).block(cx.block).stmts.len() as u32,
@@ -1169,20 +1214,21 @@ impl ReplayVisitor for Builder<'_> {
         let occ = base + idx_in_block;
         debug_assert_eq!(self.nodes.occ_stmt[occ as usize], cx.stmt, "occurrence out of sync");
 
-        let shapes = self.nodes.stmt_shapes[cx.stmt.index()].clone();
-        for (k, shape) in shapes.iter().enumerate() {
-            self.handle_use(cx.frame, occ, k as u8, shape, cx.cell, ts);
+        let nodes = self.nodes;
+        for (k, shape) in nodes.stmt_shapes[cx.stmt.index()].iter().enumerate() {
+            self.handle_use(occ, k as u8, shape, cx.cell, ts);
         }
 
+        let fi = self.frames.last_mut().expect("checked above");
         if cx.is_call {
-            self.frames.get_mut(&cx.frame).expect("live frame").state.pending_call = occ;
+            fi.state.pending_call = occ;
             return;
         }
         match cx.pos {
             StmtPos::Stmt(_) => {
                 match self.program.stmt_kind(cx.stmt) {
                     Some(StmtKind::Assign { dst, .. }) => {
-                        self.scalar.insert((cx.frame, *dst), (occ, ts));
+                        fi.vars[dst.index()] = Some((occ, ts));
                     }
                     Some(StmtKind::Store { .. }) => {
                         let cell = cx.cell.expect("store has a traced cell");
@@ -1200,40 +1246,107 @@ impl ReplayVisitor for Builder<'_> {
                     self.program.terminator_of(cx.stmt),
                     Some(Terminator::Return(_))
                 ) {
-                    self.ret.insert(cx.frame, (occ, ts));
+                    fi.ret = Some((occ, ts));
                 }
             }
         }
     }
 
     fn call_returned(&mut self, frame: FrameId, _func: FuncId, _block: BlockId, stmt: StmtId) {
-        let (occ, ts) = {
-            let fi = &self.frames[&frame];
-            (fi.state.pending_call, fi.state.ts)
-        };
+        let fi = top(&mut self.frames, frame);
+        let (occ, ts) = (fi.state.pending_call, fi.state.ts);
+        if let Some(StmtKind::Assign { dst, .. }) = self.program.stmt_kind(stmt) {
+            fi.vars[dst.index()] = Some((occ, ts));
+        }
         // The Ret use site is the last use slot of the call statement.
         let k = (self.nodes.stmt_shapes[stmt.index()].len() - 1) as u8;
         if let Some((rocc, tr)) = self.last_ret.take() {
             self.stats.total_data += 1;
             self.record_data_pair(occ, k, rocc, tr, ts);
         }
-        if let Some(StmtKind::Assign { dst, .. }) = self.program.stmt_kind(stmt) {
-            self.scalar.insert((frame, *dst), (occ, ts));
-        }
     }
 
     fn frame_exit(&mut self, frame: FrameId) {
-        self.last_ret = self.ret.remove(&frame);
-        self.frames.remove(&frame);
-        self.call_site.remove(&frame);
+        top(&mut self.frames, frame);
+        let fi = self.frames.pop().expect("checked above");
+        self.last_ret = fi.ret;
+        self.spare.push(fi);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{build_compact, OptConfig};
+    use crate::{build_compact, FullGraph, OptConfig, SpecPolicy};
     use dynslice_analysis::ProgramAnalysis;
     use dynslice_runtime::{run, VmOptions};
+
+    /// The builder's activation stack isolates frames, and a stack slot
+    /// an activation reuses keeps nothing of the one that left it.
+    ///
+    /// * `f` recurses, so caller and callee share every variable slot: each
+    ///   callee writes its own `x` and returns, then the caller reads its
+    ///   own. `f`'s `n` is slot 0 like `main`'s `x`, and `f` writes it
+    ///   before `main` prints its `x`.
+    /// * `f(1)` from `main` reuses the slot `f(4)` left. Its `t` has no
+    ///   definition (only `n > 2` defines it), and its loop header's first
+    ///   entry has no executed control ancestor in the activation. A slot
+    ///   that kept `f(4)`'s variables would put `t = 100` into the slices of
+    ///   `out[0]`, `out[1]` and `b`; one that kept its block history would
+    ///   put `f(4)`'s caller, `int a = f(x)`, there. The FP oracle has
+    ///   neither. (The use-use memo is reset on reuse too, but every memo
+    ///   read follows a write in the same node instance, so no slice can
+    ///   see it.)
+    #[test]
+    fn activation_stack_isolates_recursive_frames() {
+        let src = "global int out[8];
+             fn f(int n) -> int {
+               int x = n;
+               int t;
+               int i;
+               if (n > 2) { t = 100; }
+               for (i = 0; i < n; i = i + 1) { x = x + i; }
+               if (n > 0) { x = x + f(n - 1); }
+               if (n < 2) { out[n] = x + t; }
+               n = n + 1;
+               return x;
+             }
+             fn main() {
+               int x = 4;
+               int a = f(x);
+               int b = f(1);
+               print x;
+               print a;
+               print b;
+             }";
+        let p = dynslice_lang::compile(src).unwrap();
+        let a = ProgramAnalysis::compute(&p);
+        let t = run(&p, VmOptions::default());
+        assert_eq!(t.frames, 1 + 5 + 2, "main, f(4)..f(0), f(1)..f(0)");
+        let full = FullGraph::build(&p, &a, &t.events);
+        let configs = [
+            OptConfig::default(),
+            OptConfig::none(),
+            OptConfig { spec: SpecPolicy::None, ..OptConfig::default() },
+        ];
+        for config in &configs {
+            let opt = build_compact(&p, &a, &t.events, config);
+            assert_eq!(full.last_def.len(), opt.last_def.len(), "defined cells");
+            for (&cell, &(fs, fts)) in &full.last_def {
+                let fp = full.slice(&p, fs, fts);
+                let (occ, ts) = opt.last_def_of(cell).expect("cell defined in OPT too");
+                for shortcuts in [false, true] {
+                    assert_eq!(fp, opt.slice(occ, ts, shortcuts), "{cell:?} {shortcuts} {config:?}");
+                }
+            }
+            assert_eq!(full.outputs.len(), opt.outputs.len(), "outputs");
+            for (i, (&(fs, fts), &(occ, ts))) in full.outputs.iter().zip(&opt.outputs).enumerate() {
+                let fp = full.slice(&p, fs, fts);
+                for shortcuts in [false, true] {
+                    assert_eq!(fp, opt.slice(occ, ts, shortcuts), "output {i} {shortcuts} {config:?}");
+                }
+            }
+        }
+    }
 
     /// Every materialized closure lists its statements and frontier
     /// sorted: the walk pushes successors in frontier order, so sorted

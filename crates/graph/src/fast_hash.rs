@@ -5,8 +5,15 @@
 //! SipHash's resistance to chosen collisions buys nothing.
 //!
 //! Users: the slicing walk's visited set and the shortcut closures' scratch
-//! sets ([`crate::compact`]), the builder's dynamic-edge maps, and the
-//! paged cache's shard maps ([`crate::paged`]).
+//! sets ([`crate::compact`]), the builder's dynamic-edge maps and per-frame
+//! use-use memo (keyed by occurrences), and the paged cache's shard maps
+//! ([`crate::paged`]).
+//!
+//! Not a user: the builders' memory shadow map. Its [`Cell`] keys are
+//! addresses the traced program computes, so a program (and so a client
+//! that loads one) chooses them; that map keeps std's SipHash.
+//!
+//! [`Cell`]: dynslice_runtime::Cell
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

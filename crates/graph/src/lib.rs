@@ -60,22 +60,25 @@ const _: () = {
 pub fn profile_trace(paths: &ProgramPaths, events: &[TraceEvent]) -> PathProfile {
     use dynslice_profile::PathTracker;
     use dynslice_runtime::FrameId;
-    use std::collections::HashMap;
 
     let mut profile = PathProfile::new();
     struct St {
+        frame: FrameId,
         func: dynslice_ir::FuncId,
         tracker: Option<PathTracker>,
         prev: Option<dynslice_ir::BlockId>,
     }
-    let mut frames: HashMap<FrameId, St> = HashMap::new();
+    // The activation stack, innermost last: block events and exits always
+    // name the innermost activation.
+    let mut frames: Vec<St> = Vec::new();
     for ev in events {
         match *ev {
             TraceEvent::FrameEnter { frame, func, .. } => {
-                frames.insert(frame, St { func, tracker: None, prev: None });
+                frames.push(St { frame, func, tracker: None, prev: None });
             }
             TraceEvent::Block { frame, block } => {
-                let st = frames.get_mut(&frame).expect("live frame");
+                let st = frames.last_mut().expect("live frame");
+                assert!(st.frame == frame, "block event for a non-innermost frame");
                 let bl = paths.func(st.func);
                 match (&mut st.tracker, st.prev) {
                     (t @ None, _) => *t = Some(bl.start(block)),
@@ -89,7 +92,8 @@ pub fn profile_trace(paths: &ProgramPaths, events: &[TraceEvent]) -> PathProfile
                 st.prev = Some(block);
             }
             TraceEvent::FrameExit { frame } => {
-                let st = frames.remove(&frame).expect("live frame");
+                let st = frames.pop().expect("live frame");
+                assert!(st.frame == frame, "exit for a non-innermost frame");
                 if let (Some(t), Some(prev)) = (st.tracker, st.prev) {
                     let done = paths.func(st.func).finish(t, prev);
                     profile.record(st.func, done.id);

@@ -8,8 +8,6 @@
 //! buffered blocks form a complete path whose id decides whether they map to
 //! a specialized path node or to individual block nodes.
 
-use std::collections::HashMap;
-
 use dynslice_ir::{BlockId, FuncId};
 use dynslice_profile::{PathTracker, ProgramPaths};
 use dynslice_runtime::{FrameId, TraceEvent};
@@ -28,7 +26,9 @@ pub struct Assign {
     pub start: bool,
 }
 
+/// Segmentation state of one live activation.
 struct FrameSeg {
+    frame: FrameId,
     func: FuncId,
     tracker: Option<PathTracker>,
     prev: Option<BlockId>,
@@ -44,7 +44,9 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
         .filter(|e| matches!(e, TraceEvent::Block { .. }))
         .count();
     let mut assigns = vec![Assign { node: 0, slot: 0, start: true }; num_blocks];
-    let mut frames: HashMap<FrameId, FrameSeg> = HashMap::new();
+    // The activation stack, innermost last: block events and exits always
+    // name the innermost activation.
+    let mut frames: Vec<FrameSeg> = Vec::new();
     let mut ordinal = 0u32;
 
     let flush = |graph: &NodeGraph,
@@ -77,15 +79,19 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
     for ev in events {
         match *ev {
             TraceEvent::FrameEnter { frame, func, .. } => {
-                frames.insert(
+                frames.push(FrameSeg {
                     frame,
-                    FrameSeg { func, tracker: None, prev: None, buffered: Vec::new() },
-                );
+                    func,
+                    tracker: None,
+                    prev: None,
+                    buffered: Vec::new(),
+                });
             }
             TraceEvent::Block { frame, block } => {
                 let ord = ordinal;
                 ordinal += 1;
-                let seg = frames.get_mut(&frame).expect("block for live frame");
+                let seg = frames.last_mut().expect("block for live frame");
+                assert!(seg.frame == frame, "block event for a non-innermost frame");
                 let bl = paths.func(seg.func);
                 match (&mut seg.tracker, seg.prev) {
                     (t @ None, _) => {
@@ -94,8 +100,8 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
                     }
                     (Some(tracker), Some(prev)) => {
                         if let Some(done) = bl.step(tracker, prev, block) {
-                            let buffered = std::mem::take(&mut seg.buffered);
-                            flush(graph, seg.func, Some(done.id), &buffered, &mut assigns);
+                            flush(graph, seg.func, Some(done.id), &seg.buffered, &mut assigns);
+                            seg.buffered.clear();
                         }
                         seg.buffered.push((ord, block));
                     }
@@ -104,7 +110,8 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
                 seg.prev = Some(block);
             }
             TraceEvent::FrameExit { frame } => {
-                let seg = frames.remove(&frame).expect("exit for live frame");
+                let seg = frames.pop().expect("exit for live frame");
+                assert!(seg.frame == frame, "exit for a non-innermost frame");
                 if let (Some(tracker), Some(prev)) = (seg.tracker, seg.prev) {
                     let bl = paths.func(seg.func);
                     let done = bl.finish(tracker, prev);
@@ -116,7 +123,7 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
     }
     // Truncated traces: frames that never exited flush their incomplete
     // paths as individual block nodes.
-    for (_, seg) in frames {
+    for seg in frames {
         flush(graph, seg.func, None, &seg.buffered, &mut assigns);
     }
     assigns

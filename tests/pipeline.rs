@@ -172,3 +172,37 @@ fn compact_size_model_is_pinned() {
     // Every closure's skip list, as the size model counts them.
     assert_eq!(opt.graph().size(true).shortcut_stmts, 50_279);
 }
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The sequential OPT builder's exact output on three branchy,
+/// pointer-heavy suite programs: it equals the parallel builder's arena
+/// for arena, and the snapshot bytes of each build hash to a recorded
+/// digest, so a rewrite of the build pass cannot move one byte of the
+/// graph it produces.
+#[test]
+fn suite_builds_match_parallel_and_pinned_digests() {
+    use dynslice::{build_compact, build_compact_parallel, snapshot, Registry, Snapshot};
+    for (name, pinned) in [
+        ("099.go", 0x302a_d039_4fa6_3c85u64),
+        ("300.twolf", 0xf53e_af28_8d76_7a22),
+        ("181.mcf", 0x55b3_8766_73c3_798d),
+    ] {
+        let w = workloads::by_name(name).unwrap();
+        let src = w.source(0.2);
+        let session = Session::compile(&src).unwrap();
+        let trace = session.run_with(VmOptions { input: w.input.clone(), ..Default::default() });
+        assert!(!trace.truncated, "{name}");
+        let config = OptConfig::default();
+        let (p, a) = (&session.program, &session.analysis);
+        let seq = build_compact(p, a, &trace.events, &config);
+        let par = build_compact_parallel(p, a, &trace.events, &config, 4, &Registry::disabled());
+        assert_eq!(seq.first_difference(&par), None, "{name}: sequential vs parallel build");
+        let snap = Snapshot { source: src, input: w.input.clone(), config, graph: seq };
+        let digest = fnv1a64(&snapshot::encode(&snap));
+        assert_eq!(digest, pinned, "{name}: snapshot bytes moved");
+    }
+}
