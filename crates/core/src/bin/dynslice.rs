@@ -4,22 +4,18 @@
 //! dynslice run         <file> [--input 1,2,3]
 //! dynslice slice       <file> (--output K | --cell INST:OFF)
 //!                      [--algo fp|opt|lp|forward|paged] [--input 1,2,3]
-//!                      [--no-shortcuts] [--resident-blocks N]
-//!                      [--build-workers N] [--from-snapshot]
+//!                      [--no-shortcuts] [--resident-blocks N] [--from-snapshot]
 //! dynslice slice-batch <file> [--workers N] [--queries N] [--repeat R]
 //!                      [--no-cache] [--no-shortcuts] [--input 1,2,3]
-//!                      [--paged] [--resident-blocks N] [--build-workers N]
-//!                      [--from-snapshot]
-//! dynslice snapshot    <file> -o FILE.dsnap [--input 1,2,3]
-//!                      [--build-workers N]   # build once, persist graph
+//!                      [--paged] [--resident-blocks N] [--from-snapshot]
+//! dynslice snapshot    <file> -o FILE.dsnap [--input 1,2,3]  # build once, persist graph
 //! dynslice serve       <file> [--algo fp|opt|lp|forward|paged] [--paged]
 //!                      [--socket PATH] [--tcp HOST:PORT] [--port-file PATH]
 //!                      [--max-connections N] [--idle-timeout-ms N]
 //!                      [--max-line-bytes N]
 //!                      [--workers N] [--timeout-ms N]
 //!                      [--queue-depth N] [--cache-capacity N] [--no-cache]
-//!                      [--max-sessions N] [--memory-budget-mb MB]
-//!                      [--build-workers N] [--loaders N]
+//!                      [--max-sessions N] [--memory-budget-mb MB] [--loaders N]
 //!                      [--preload [name=]file[@i1;i2;...],...]
 //!                      [--snapshot-dir DIR]
 //! dynslice report      <file> [--input 1,2,3]
@@ -140,7 +136,6 @@ struct Args {
     cache: bool,
     paged: bool,
     resident_blocks: usize,
-    build_workers: usize,
     loaders: usize,
     socket: Option<String>,
     tcp: Option<String>,
@@ -176,7 +171,6 @@ impl Args {
         m.insert("cache".into(), self.cache.to_string());
         m.insert("paged".into(), self.paged.to_string());
         m.insert("resident_blocks".into(), self.resident_blocks.to_string());
-        m.insert("build_workers".into(), self.build_workers.to_string());
         m.insert("queries".into(), self.queries.to_string());
         m.insert("repeat".into(), self.repeat.to_string());
         if self.from_snapshot {
@@ -240,7 +234,6 @@ impl Args {
             shortcuts: self.shortcuts,
             scratch_dir: std::env::temp_dir().join("dynslice-cli"),
             resident_blocks: self.resident_blocks,
-            build_workers: self.build_workers,
             ..SlicerConfig::default()
         }
     }
@@ -265,7 +258,6 @@ fn parse_args() -> Result<Args, String> {
         cache: true,
         paged: false,
         resident_blocks: 128,
-        build_workers: 1,
         loaders: 1,
         socket: None,
         tcp: None,
@@ -329,11 +321,6 @@ fn parse_args() -> Result<Args, String> {
                     Ok(n) => n,
                     Err(_) => return Err(format!("bad block count `{v}`")),
                 };
-            }
-            "--build-workers" => {
-                let v = args.next().ok_or("--build-workers needs a count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad build worker count `{v}`"))?;
-                out.build_workers = n.max(1);
             }
             "--loaders" => {
                 let v = args.next().ok_or("--loaders needs a count")?;
@@ -422,7 +409,7 @@ fn usage() -> String {
     "usage: dynslice <run|slice|slice-batch|snapshot|serve|report|dot|metrics-validate> \
      <file.minic> \
      [--input 1,2,3] [--output K | --cell INST:OFF] [--algo fp|opt|lp|forward|paged] \
-     [--no-shortcuts] [--workers N] [--build-workers N] [--queries N] [--repeat R] \
+     [--no-shortcuts] [--workers N] [--queries N] [--repeat R] \
      [--no-cache] [--paged] [--resident-blocks N] [--socket PATH] [--tcp HOST:PORT] \
      [--port-file PATH] [--max-connections N] [--idle-timeout-ms N] [--max-line-bytes N] \
      [--timeout-ms N] \
@@ -751,13 +738,11 @@ fn run() -> Result<(), CliError> {
             }
             let config = a.slicer_config();
             let graph = reg.time_phase(phases::GRAPH_BUILD, || {
-                dynslice::build_compact_parallel(
+                dynslice::build_compact(
                     &session.program,
                     &session.analysis,
                     &trace.events,
                     &config.opt,
-                    a.build_workers,
-                    &reg,
                 )
             });
             let snap = dynslice::Snapshot {

@@ -36,7 +36,7 @@ pub mod sessions;
 
 pub use dynslice_analysis::{self as analysis, ProgramAnalysis};
 pub use dynslice_graph::{
-    self as graph, build_compact, build_compact_parallel, profile_trace, snapshot, BuildStats,
+    self as graph, build_compact, profile_trace, snapshot, BuildStats,
     CompactGraph, FullGraph, GraphSize, NodeGraph, OptConfig, OptKind, PagedGraph, PagedStats,
     Snapshot, SnapshotError, SpecPlan, SpecPolicy,
 };
@@ -174,16 +174,7 @@ impl Session {
         Ok(match algo {
             Algo::Fp => AnySlicer::Fp(reg.time_phase(phases::GRAPH_BUILD, || self.fp(trace))),
             Algo::Opt => {
-                let mut opt = reg.time_phase(phases::GRAPH_BUILD, || {
-                    OptSlicer::build_parallel(
-                        &self.program,
-                        &self.analysis,
-                        &trace.events,
-                        &config.opt,
-                        config.build_workers,
-                        reg,
-                    )
-                });
+                let mut opt = reg.time_phase(phases::GRAPH_BUILD, || self.opt(trace, &config.opt));
                 opt.shortcuts = config.shortcuts;
                 AnySlicer::Opt(opt)
             }
@@ -203,14 +194,8 @@ impl Session {
                 std::fs::create_dir_all(&config.scratch_dir)?;
                 let path = scratch_path(&config.scratch_dir, "spill", "pg");
                 let mut paged = reg.time_phase(phases::RECORD_PREPROCESS, || {
-                    let graph = build_compact_parallel(
-                        &self.program,
-                        &self.analysis,
-                        &trace.events,
-                        &config.opt,
-                        config.build_workers,
-                        reg,
-                    );
+                    let graph =
+                        build_compact(&self.program, &self.analysis, &trace.events, &config.opt);
                     PagedGraph::spill(graph, path, config.resident_blocks)
                 })?;
                 paged.shortcuts = config.shortcuts;
@@ -279,10 +264,6 @@ pub struct SlicerConfig {
     /// LP pass-budget override ([`dynslice_slicing::DEFAULT_MAX_PASSES`]
     /// when `None`).
     pub lp_max_passes: Option<u32>,
-    /// Worker threads for the segmented parallel graph build (OPT and the
-    /// paged hybrid); `1` = the sequential builder. The built graph is
-    /// bit-identical either way.
-    pub build_workers: usize,
 }
 
 impl Default for SlicerConfig {
@@ -293,7 +274,6 @@ impl Default for SlicerConfig {
             scratch_dir: std::env::temp_dir().join("dynslice-scratch"),
             resident_blocks: 128,
             lp_max_passes: None,
-            build_workers: 1,
         }
     }
 }

@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use dynslice_graph::snapshot::{self, Snapshot, SnapshotError};
-use dynslice_graph::{build_compact_parallel, CompactGraph};
+use dynslice_graph::{build_compact, CompactGraph};
 use dynslice_obs::{phases, Registry, SessionReport};
 use dynslice_slicing::{Criterion, Slicer as _};
 
@@ -202,14 +202,7 @@ impl OwnedSlicer {
             Box::new(Session::compile(src).map_err(|d| LoadError::Bad(d.to_string()))?);
         let trace = session.run(input.clone());
         let graph = reg.time_phase(phases::GRAPH_BUILD, || {
-            build_compact_parallel(
-                &session.program,
-                &session.analysis,
-                &trace.events,
-                &config.opt,
-                config.build_workers,
-                reg,
-            )
+            build_compact(&session.program, &session.analysis, &trace.events, &config.opt)
         });
         let snap =
             Snapshot { source: src.to_string(), input, config: config.opt.clone(), graph };

@@ -341,9 +341,8 @@ impl CompactGraph {
 
     /// Assembles a graph from its built parts, sorting every channel into
     /// use-timestamp order (return-value edges append out of `tu` order)
-    /// and laying the store's edge maps out as [`EdgeRows`]. Shared by the
-    /// sequential builder and the parallel stitcher.
-    pub(crate) fn assemble(
+    /// and laying the store's edge maps out as [`EdgeRows`].
+    fn assemble(
         nodes: NodeGraph,
         store: DynStore,
         stats: BuildStats,
@@ -789,8 +788,8 @@ impl CompactGraph {
     /// Compares every materialized component of two graphs — channel
     /// tables, dynamic edge rows, last-defs, outputs, statistics —
     /// returning the name of the first differing component, or `None` if
-    /// the graphs are bit-identical. This is the oracle the parallel-build
-    /// differential tests and the scaling bench use; it deliberately
+    /// the graphs are bit-identical. This is the oracle the snapshot
+    /// round-trip tests and the snapshot-load bench use; it deliberately
     /// ignores the lazily-populated shortcut memo, which is derived state.
     #[must_use]
     pub fn first_difference(&self, other: &Self) -> Option<&'static str> {
@@ -834,12 +833,11 @@ struct FrameState {
 /// [`CompactGraph::assemble`] lays them out as [`EdgeRows`]. Channel
 /// indices are assigned in first-discovery order and identical consecutive
 /// pairs on a channel are stored once, so the exact same *sequence* of
-/// `record_*_pair` calls yields the exact same store — the invariant the
-/// parallel stitcher (`crate::parallel`) relies on for bit-identical
-/// builds.
+/// `record_*_pair` calls yields the exact same store — which is what the
+/// pinned snapshot digests of the suite builds rely on.
 #[derive(Debug, Default)]
-pub(crate) struct DynStore {
-    pub(crate) channels: Vec<Vec<(u64, u64)>>,
+struct DynStore {
+    channels: Vec<Vec<(u64, u64)>>,
     data_dyn: FastMap<(u32, u8), Vec<(u32, u32)>>,
     cd_dyn: FastMap<u32, Vec<(u32, u32)>>,
     /// Sharing group -> channel, per `(group, def node, use node)`: label
@@ -942,7 +940,7 @@ impl DynStore {
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the use-event tuple end to end
-    pub(crate) fn record_data_pair(
+    fn record_data_pair(
         &mut self,
         nodes: &NodeGraph,
         stats: &mut BuildStats,
@@ -960,7 +958,7 @@ impl DynStore {
         }
     }
 
-    pub(crate) fn record_cd_pair(
+    fn record_cd_pair(
         &mut self,
         nodes: &NodeGraph,
         stats: &mut BuildStats,

@@ -19,13 +19,11 @@ mod fast_hash;
 pub mod full;
 pub mod nodes;
 pub mod paged;
-pub mod parallel;
 pub mod segment;
 pub mod size;
 pub mod snapshot;
 
 pub use compact::{CompactGraph, TraversalStats};
-pub use parallel::build_parallel;
 pub use dot::{compact_to_dot, slice_to_dot};
 pub use paged::{PagedGraph, PagedStats};
 pub use full::FullGraph;
@@ -118,23 +116,6 @@ pub fn build_compact(
     let plan = SpecPlan::new(program, &paths, Some(&profile), &config.spec);
     let nodes = NodeGraph::build(program, analysis, &plan, config);
     CompactGraph::build(program, analysis, &paths, nodes, events)
-}
-
-/// [`build_compact`] on `workers` threads via the segmented parallel
-/// builder (`parallel` module); bit-identical to the sequential build.
-pub fn build_compact_parallel(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    events: &[TraceEvent],
-    config: &OptConfig,
-    workers: usize,
-    reg: &dynslice_obs::Registry,
-) -> CompactGraph {
-    let paths = ProgramPaths::compute(program);
-    let profile = profile_trace(&paths, events);
-    let plan = SpecPlan::new(program, &paths, Some(&profile), &config.spec);
-    let nodes = NodeGraph::build(program, analysis, &plan, config);
-    parallel::build_parallel(program, analysis, &paths, nodes, events, workers, reg)
 }
 
 #[cfg(test)]

@@ -94,19 +94,6 @@ impl BuildStats {
         *self.saved.entry(k).or_insert(0) += 1;
     }
 
-    /// Folds another stats block into this one (the parallel builder sums
-    /// per-segment counters with the stitcher's).
-    pub(crate) fn absorb(&mut self, other: &BuildStats) {
-        for (k, v) in &other.saved {
-            *self.saved.entry(*k).or_insert(0) += v;
-        }
-        self.stored_data_pairs += other.stored_data_pairs;
-        self.stored_control_pairs += other.stored_control_pairs;
-        self.demoted += other.demoted;
-        self.total_data += other.total_data;
-        self.total_control += other.total_control;
-    }
-
     /// Total pairs avoided across all optimizations.
     pub fn total_saved(&self) -> u64 {
         self.saved.values().sum()

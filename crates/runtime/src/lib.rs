@@ -28,7 +28,7 @@ pub mod value;
 pub mod vm;
 
 pub use records::{collect_records, ChunkSummary, Record, RecordFile, CHUNK_RECORDS, RECORD_BYTES};
-pub use replay::{replay, replay_span, ReplayCursor, ReplayVisitor, StmtCx};
+pub use replay::{replay, ReplayVisitor, StmtCx};
 pub use trace::{FrameId, Trace, TraceEvent};
 pub use value::{clamp_offset, Cell};
 pub use vm::{eval_binop, run, VmOptions};

@@ -69,7 +69,7 @@ pub trait ReplayVisitor {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ReplayFrame {
     frame: FrameId,
     func: FuncId,
@@ -77,43 +77,6 @@ struct ReplayFrame {
     stmt_idx: usize,
     /// Whether the frame is paused at a call-assign (at `stmt_idx`).
     in_call: bool,
-}
-
-/// Resumable replay position: the activation stack, the event index and the
-/// count of `Block` events consumed so far.
-///
-/// A cursor lets a trace be replayed in *spans*: [`replay_span`] stops just
-/// before consuming the block-event at a given ordinal, and a clone of the
-/// cursor taken there resumes replay from exactly that point (the parallel
-/// graph builder cuts traces into segments this way). Cursors are only
-/// meaningful for the `(program, events)` pair they were advanced over.
-#[derive(Clone, Debug, Default)]
-pub struct ReplayCursor {
-    stack: Vec<ReplayFrame>,
-    pos: usize,
-    blocks_seen: usize,
-}
-
-impl ReplayCursor {
-    /// A cursor at the start of a trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of `Block` events consumed so far.
-    pub fn blocks_seen(&self) -> usize {
-        self.blocks_seen
-    }
-
-    /// The activations currently live (outermost first).
-    pub fn live_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.stack.iter().map(|f| f.frame)
-    }
-
-    /// Whether every event has been consumed.
-    pub fn at_end(&self, events: &[TraceEvent]) -> bool {
-        self.pos >= events.len()
-    }
 }
 
 /// Replays `events` over `program`, invoking `visitor` for every executed
@@ -126,24 +89,8 @@ impl ReplayCursor {
 /// Panics on malformed traces (events that could not have been produced by
 /// the VM for this program).
 pub fn replay<V: ReplayVisitor>(program: &Program, events: &[TraceEvent], visitor: &mut V) {
-    let mut cursor = ReplayCursor::new();
-    replay_span(program, events, &mut cursor, visitor, None);
-}
-
-/// Advances `cursor` through `events`, invoking `visitor`, until the event
-/// stream is exhausted or the cursor is about to consume the `Block` event
-/// with ordinal `block_limit` (counting from the start of the trace). The
-/// limit cut falls *between* events, so a sequence of spans over one cursor
-/// delivers exactly the callbacks [`replay`] would.
-pub fn replay_span<V: ReplayVisitor>(
-    program: &Program,
-    events: &[TraceEvent],
-    cursor: &mut ReplayCursor,
-    visitor: &mut V,
-    block_limit: Option<usize>,
-) {
-    let stack = &mut cursor.stack;
-    let mut i = cursor.pos;
+    let mut stack: Vec<ReplayFrame> = Vec::new();
+    let mut i = 0;
     while i < events.len() {
         match events[i] {
             TraceEvent::FrameEnter { frame, func, call_stmt, caller } => {
@@ -163,10 +110,6 @@ pub fn replay_span<V: ReplayVisitor>(
                 // The matching Block event follows and triggers the drain.
             }
             TraceEvent::Block { frame, block } => {
-                if block_limit == Some(cursor.blocks_seen) {
-                    break;
-                }
-                cursor.blocks_seen += 1;
                 i += 1;
                 let top = stack.last_mut().expect("block event with no active frame");
                 assert_eq!(top.frame, frame, "block event for a non-top frame");
@@ -196,7 +139,6 @@ pub fn replay_span<V: ReplayVisitor>(
             }
         }
     }
-    cursor.pos = i;
 }
 
 /// Delivers statements of the top frame's current block until a call pauses
@@ -368,46 +310,6 @@ mod tests {
         let replayed = c.stmts.len() as u64;
         assert!(replayed + 10 >= t.stmts_executed, "{replayed} vs {}", t.stmts_executed);
         assert!(replayed <= t.stmts_executed + 10, "{replayed} vs {}", t.stmts_executed);
-    }
-
-    #[test]
-    fn spans_deliver_the_same_callbacks_as_one_replay() {
-        let src = "global int a[4];
-             fn g(int x) -> int { a[x % 4] = x; return a[x % 4] + 1; }
-             fn f(int x) -> int { return g(x) + g(x + 1); }
-             fn main() {
-               int i;
-               int s = 0;
-               for (i = 0; i < 9; i = i + 1) { s = s + f(i); }
-               print s;
-             }";
-        let p = compile(src).expect("compiles");
-        let t = run(&p, VmOptions::default());
-        let mut whole = Collector::default();
-        replay(&p, &t.events, &mut whole);
-        let blocks = t
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Block { .. }))
-            .count();
-        for parts in [2usize, 3, 7] {
-            let mut c = Collector::default();
-            let mut cursor = ReplayCursor::new();
-            for k in 1..=parts {
-                let limit = blocks * k / parts;
-                replay_span(&p, &t.events, &mut cursor, &mut c, Some(limit));
-                assert_eq!(cursor.blocks_seen(), limit);
-            }
-            // Trailing frame exits past the last block event.
-            replay_span(&p, &t.events, &mut cursor, &mut c, None);
-            assert!(cursor.at_end(&t.events));
-            assert_eq!(c.stmts, whole.stmts, "{parts}-part span replay diverged");
-            assert_eq!(c.cells, whole.cells);
-            assert_eq!(c.call_returns, whole.call_returns);
-            assert_eq!(c.frames_entered, whole.frames_entered);
-            assert_eq!(c.frames_exited, whole.frames_exited);
-            assert_eq!(c.blocks, whole.blocks);
-        }
     }
 
     #[test]

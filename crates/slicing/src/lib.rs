@@ -118,26 +118,6 @@ impl OptSlicer {
         Self { graph: build_compact(program, analysis, events, config), shortcuts: true }
     }
 
-    /// [`OptSlicer::build`] on `workers` threads via the segmented parallel
-    /// graph builder; the resulting graph is bit-identical to the
-    /// sequential build. Per-segment timings land in `reg` as `build.*`
-    /// counters.
-    pub fn build_parallel(
-        program: &Program,
-        analysis: &ProgramAnalysis,
-        events: &[TraceEvent],
-        config: &OptConfig,
-        workers: usize,
-        reg: &dynslice_obs::Registry,
-    ) -> Self {
-        Self {
-            graph: dynslice_graph::build_compact_parallel(
-                program, analysis, events, config, workers, reg,
-            ),
-            shortcuts: true,
-        }
-    }
-
     /// Wraps an already-built compacted graph.
     pub fn from_graph(graph: CompactGraph) -> Self {
         Self { graph, shortcuts: true }

@@ -178,31 +178,35 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// The sequential OPT builder's exact output on three branchy,
-/// pointer-heavy suite programs: it equals the parallel builder's arena
-/// for arena, and the snapshot bytes of each build hash to a recorded
-/// digest, so a rewrite of the build pass cannot move one byte of the
-/// graph it produces.
+/// The OPT builder's exact output on three branchy, pointer-heavy suite
+/// programs under the default configuration, with every optimization off,
+/// and without path specialization: the snapshot bytes of each build hash
+/// to a recorded digest, so a rewrite of the build pass cannot move one
+/// byte of the graph it produces.
 #[test]
-fn suite_builds_match_parallel_and_pinned_digests() {
-    use dynslice::{build_compact, build_compact_parallel, snapshot, Registry, Snapshot};
-    for (name, pinned) in [
-        ("099.go", 0x302a_d039_4fa6_3c85u64),
-        ("300.twolf", 0xf53e_af28_8d76_7a22),
-        ("181.mcf", 0x55b3_8766_73c3_798d),
+fn suite_builds_match_pinned_digests() {
+    use dynslice::{build_compact, snapshot, Snapshot};
+    let no_spec = || OptConfig { spec: SpecPolicy::None, ..Default::default() };
+    for (name, config, pinned) in [
+        ("099.go", OptConfig::default(), 0x302a_d039_4fa6_3c85u64),
+        ("300.twolf", OptConfig::default(), 0xf53e_af28_8d76_7a22),
+        ("181.mcf", OptConfig::default(), 0x55b3_8766_73c3_798d),
+        ("099.go", OptConfig::none(), 0x84fe_bbd4_f6c9_9582),
+        ("300.twolf", OptConfig::none(), 0x0e1c_7d94_0cda_cfe2),
+        ("181.mcf", OptConfig::none(), 0xfe48_277b_1991_b769),
+        ("099.go", no_spec(), 0x0f4e_7218_9ce0_e9dd),
+        ("300.twolf", no_spec(), 0x66bf_9a1d_1ac8_729b),
+        ("181.mcf", no_spec(), 0x78e4_7c5c_9aaa_8d12),
     ] {
         let w = workloads::by_name(name).unwrap();
         let src = w.source(0.2);
         let session = Session::compile(&src).unwrap();
         let trace = session.run_with(VmOptions { input: w.input.clone(), ..Default::default() });
         assert!(!trace.truncated, "{name}");
-        let config = OptConfig::default();
-        let (p, a) = (&session.program, &session.analysis);
-        let seq = build_compact(p, a, &trace.events, &config);
-        let par = build_compact_parallel(p, a, &trace.events, &config, 4, &Registry::disabled());
-        assert_eq!(seq.first_difference(&par), None, "{name}: sequential vs parallel build");
-        let snap = Snapshot { source: src, input: w.input.clone(), config, graph: seq };
+        let graph = build_compact(&session.program, &session.analysis, &trace.events, &config);
+        let label = format!("{name} {config:?}");
+        let snap = Snapshot { source: src, input: w.input.clone(), config, graph };
         let digest = fnv1a64(&snapshot::encode(&snap));
-        assert_eq!(digest, pinned, "{name}: snapshot bytes moved");
+        assert_eq!(digest, pinned, "{label}: snapshot bytes moved");
     }
 }
