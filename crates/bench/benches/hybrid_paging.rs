@@ -8,7 +8,9 @@
 //! Resident memory is *actual occupancy* (graph, index, the pages resident
 //! and the shortcut closures materialized at measurement time), not the
 //! cache's worst-case capacity; the second table's hit rates are per-run
-//! deltas of the graph's atomic counters.
+//! deltas of the graph's atomic counters. `lbl/q` is label searches per
+//! query (the paper's labeled-edge cost), OPT's then paged's: one walk, so
+//! the two agree.
 
 use dynslice::{slice_batch, BatchConfig, OptConfig, Slicer};
 use dynslice_bench::*;
@@ -24,8 +26,16 @@ fn main() {
     let resident = resident_blocks();
     println!("   (resident budget {resident} 4 KiB pages; DYNSLICE_RESIDENT to change)");
     println!(
-        "{:<12} {:>12} {:>14} {:>12} {:>14} {:>12} {:>8} {:>7}",
-        "program", "OPT (KB)", "resident (KB)", "disk (KB)", "OPT slice", "paged", "misses", "hit%"
+        "{:<12} {:>12} {:>14} {:>12} {:>14} {:>12} {:>8} {:>7} {:>15}",
+        "program",
+        "OPT (KB)",
+        "resident (KB)",
+        "disk (KB)",
+        "OPT slice",
+        "paged",
+        "misses",
+        "hit%",
+        "lbl/q OPT/paged"
     );
     let report = BenchReport::new("hybrid_paging");
     report.registry().gauge_set("config.resident_blocks", resident as f64);
@@ -36,8 +46,10 @@ fn main() {
         let opt = p.session.opt(&p.trace, &OptConfig::default());
         let qs = queries(opt.graph().last_def.keys().copied());
         let opt_kb = opt.graph().size(false).bytes() as f64 / 1024.0;
+        let mut opt_searches = 0;
         for q in &qs {
-            let _ = opt.slice(q); // warm shortcut memos for fairness
+            // Warms shortcut memos for fairness.
+            opt_searches += opt.slice_with_stats(q).map_or(0, |(_, s)| s.label_searches);
         }
         let (_, t_opt) = time(|| {
             for q in &qs {
@@ -54,11 +66,12 @@ fn main() {
                 resident,
             )
             .unwrap();
-        let (_, t_paged) = time(|| {
-            for q in &qs {
-                let _ = Slicer::slice(&paged, q);
-            }
+        let (paged_searches, t_paged) = time(|| {
+            qs.iter()
+                .map(|q| Slicer::slice_with_stats(&paged, q).map_or(0, |(_, s)| s.label_searches))
+                .sum::<u64>()
         });
+        let per_query = |n: u64| n as f64 / qs.len().max(1) as f64;
         let st = paged.stats();
         report.gauge(p.name, "opt_kb", opt_kb);
         report.gauge(p.name, "resident_kb", paged.resident_bytes() as f64 / 1024.0);
@@ -67,8 +80,10 @@ fn main() {
         report.gauge(p.name, "paged_slice_ms", t_paged.as_secs_f64() * 1e3);
         report.counter(p.name, "cache_misses", st.misses);
         report.gauge(p.name, "hit_rate", st.hit_rate());
+        report.gauge(p.name, "opt_label_searches_per_query", per_query(opt_searches));
+        report.gauge(p.name, "paged_label_searches_per_query", per_query(paged_searches));
         println!(
-            "{:<12} {:>12.1} {:>14.1} {:>12.1} {:>11} ms {:>9} ms {:>8} {:>6.1}%",
+            "{:<12} {:>12.1} {:>14.1} {:>12.1} {:>11} ms {:>9} ms {:>8} {:>6.1}% {:>7.0}/{:<7.0}",
             p.name,
             opt_kb,
             paged.resident_bytes() as f64 / 1024.0,
@@ -77,6 +92,8 @@ fn main() {
             ms(t_paged),
             st.misses,
             st.hit_rate() * 100.0,
+            per_query(opt_searches),
+            per_query(paged_searches),
         );
         pageds.push((p, qs, paged));
     }

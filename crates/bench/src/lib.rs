@@ -8,7 +8,7 @@
 //! * `DYNSLICE_QUERIES` — slice queries per measurement (default 25, as in
 //!   the paper).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use dynslice::{
@@ -133,18 +133,46 @@ impl BenchReport {
         self.reg.gauge_set(&format!("{bench}.{metric}"), v);
     }
 
-    /// Writes `BENCH_<name>.json` and returns its path. The emitted
-    /// document is re-parsed before landing, so a harness can never write
-    /// a report the schema validator would reject.
+    /// Writes `BENCH_<name>.json` into [`bench_report_dir`], creating it
+    /// if needed, and returns its path. The emitted document is re-parsed
+    /// before landing, so a harness can never write a report the schema
+    /// validator would reject.
     pub fn finish(self) -> PathBuf {
+        self.finish_in(&bench_report_dir())
+    }
+
+    fn finish_in(self, dir: &Path) -> PathBuf {
         let mut config = std::collections::BTreeMap::new();
         config.insert("scale".to_string(), scale().to_string());
         config.insert("queries".to_string(), num_queries().to_string());
         let report = self.reg.report(format!("bench/{}", self.name), config);
         RunReport::from_json(&report.to_json()).expect("bench report must satisfy the schema");
-        let path = bench_report_dir().join(format!("BENCH_{}.json", self.name));
+        std::fs::create_dir_all(dir).expect("create bench report directory");
+        let path = dir.join(format!("BENCH_{}.json", self.name));
         report.write_to(&path).expect("write bench report");
         println!("[bench trajectory written to {}]", path.display());
         path
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report directory that does not exist yet is created, nested
+    /// levels included, rather than failing after the harness has run.
+    #[test]
+    fn finish_creates_a_missing_report_directory() {
+        let root = std::env::temp_dir().join(format!("dynslice-bench-dir-{}", std::process::id()));
+        let dir = root.join("nested").join("reports");
+        assert!(!dir.exists());
+        let report = BenchReport::new("dir_test");
+        report.counter("prog", "queries", 3);
+        let path = report.finish_in(&dir);
+        assert_eq!(path, dir.join("BENCH_dir_test.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let parsed = RunReport::from_json(&text).unwrap();
+        assert_eq!(parsed.counter_or_zero("prog.queries"), 3);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

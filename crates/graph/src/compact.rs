@@ -19,10 +19,21 @@
 //!   edges one row per use slot (an occurrence's slot base plus `k`),
 //!   control edges one row per block-key occurrence — a lookup is two
 //!   slice indexings, not a hash probe;
-//! * the visited set hashes `(occurrence, timestamp)` with the crate's
-//!   multiply-rotate [`FastHasher`](crate::fast_hash::FastHasher);
-//! * the slice is a bitmap over statement ids ([`StmtBits`]), turned into
-//!   the sorted result set once, at the end;
+//! * each piece of work is done once per query. Node instances share one
+//!   timestamp, so the closures of one instance's statements overlap; a
+//!   label-searching frontier entry is resolved at most once per
+//!   timestamp — use entries keyed by use slot, control entries by block
+//!   key (`cd_res` is per block slot, so every occurrence under a key
+//!   resolves alike) — and a closure's statements enter the slice once per
+//!   occurrence, not once per visited instance;
+//! * the walk's visited instances and resolved entries live in one
+//!   [`WalkMemo`], `(id, timestamp)` keys packed into a `u64` where the
+//!   graph's ids and timestamps fit, hashed with the crate's
+//!   multiply-rotate [`FastHasher`](crate::fast_hash::FastHasher) and sized
+//!   up front from the graph's high-water mark, so a steady-state query
+//!   never rehashes and a small graph's walks keep small tables;
+//! * the slice is a bitmap over statement ids ([`Bits`]), turned into the
+//!   sorted result set once, at the end;
 //! * shortcut closures list their statements and frontier sorted, so walks
 //!   (and the paged backend's page-access order) are deterministic.
 //!
@@ -39,7 +50,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use dynslice_analysis::ProgramAnalysis;
@@ -80,6 +91,10 @@ pub struct CompactGraph {
     pub num_node_execs: u64,
     /// Lazily computed shortcut closures.
     shortcuts: ShortcutTable,
+    /// The most entries any walk over this graph has put in its
+    /// [`WalkMemo`] (monotone): the next walk's table size. Derived state,
+    /// like the shortcut memo.
+    memo_high_water: AtomicUsize,
 }
 
 /// Where a slicing traversal finds dynamic labels: channel `chan`'s
@@ -198,21 +213,26 @@ pub(crate) fn use_slot_base(nodes: &NodeGraph) -> Vec<u32> {
     base
 }
 
-/// A set of statements, one bit per [`StmtId`]: adding a statement is a
-/// word OR, and the sorted set comes out in one pass at the end.
-struct StmtBits(Vec<u64>);
+/// A set of dense indices, one bit each — statements of a slice,
+/// occurrences whose closure is in it: adding one is a word OR, and a
+/// statement set comes out sorted in one pass at the end.
+struct Bits(Vec<u64>);
 
-impl StmtBits {
-    fn new(num_stmts: usize) -> Self {
-        StmtBits(vec![0; num_stmts.div_ceil(64)])
+impl Bits {
+    fn new(len: usize) -> Self {
+        Bits(vec![0; len.div_ceil(64)])
     }
 
+    /// Adds `i`; false if it was already in.
     #[inline]
-    fn insert(&mut self, s: StmtId) {
-        self.0[s.index() / 64] |= 1 << (s.index() % 64);
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.0[i / 64], 1 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 
-    fn into_set(self) -> BTreeSet<StmtId> {
+    fn into_stmts(self) -> BTreeSet<StmtId> {
         let mut out = Vec::new();
         for (w, &word) in self.0.iter().enumerate() {
             let mut bits = word;
@@ -223,6 +243,51 @@ impl StmtBits {
         }
         // Ascending, so the sort inside the set's bulk build is one pass.
         out.into_iter().collect()
+    }
+}
+
+/// What one walk has done, as `(id, timestamp)` keys in one set: id `occ`
+/// is the visited instance `(occ, ts)`, id `num_occs + slot` is use slot
+/// `slot` resolved at `ts`, id `num_occs + use_slots + key` is block key
+/// `key`'s control dependence resolved at `ts`.
+///
+/// Every timestamp a walk meets is below the graph's final timestamp or at
+/// most the criterion's (labels name executed instances; static edges keep
+/// the timestamp or step back), so with `stride` above both a key packs
+/// into one word as `id * stride + ts` whenever that product fits — half
+/// the table of a pair key. A graph too large for that keeps pairs.
+enum WalkMemo {
+    Packed { seen: FastSet<u64>, stride: u64 },
+    Pairs(FastSet<(u64, u64)>),
+}
+
+impl WalkMemo {
+    /// An empty memo for `ids` ids and timestamps below `stride`, with
+    /// room for `capacity` keys (`with_capacity` adds the table's
+    /// load-factor headroom, so that many never rehash).
+    fn new(ids: u64, stride: u64, capacity: usize) -> Self {
+        if ids.checked_mul(stride).is_some() {
+            let seen = FastSet::with_capacity_and_hasher(capacity, Default::default());
+            WalkMemo::Packed { seen, stride }
+        } else {
+            WalkMemo::Pairs(FastSet::with_capacity_and_hasher(capacity, Default::default()))
+        }
+    }
+
+    /// Adds `(id, ts)`; false if the walk has done it before.
+    #[inline]
+    fn insert(&mut self, id: u64, ts: u64) -> bool {
+        match self {
+            WalkMemo::Packed { seen, stride } => seen.insert(id * *stride + ts),
+            WalkMemo::Pairs(seen) => seen.insert((id, ts)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            WalkMemo::Packed { seen, .. } => seen.len(),
+            WalkMemo::Pairs(seen) => seen.len(),
+        }
     }
 }
 
@@ -261,6 +326,9 @@ pub struct TraversalStats {
     pub shortcuts_materialized: u64,
     /// Shortcut lookups served from the memo table.
     pub shortcut_hits: u64,
+    /// Dynamic-label searches (one per channel tried while resolving a
+    /// use or control dependence): the paper's labeled-edge cost.
+    pub label_searches: u64,
 }
 
 impl dynslice_obs::RecordMetrics for TraversalStats {
@@ -268,6 +336,7 @@ impl dynslice_obs::RecordMetrics for TraversalStats {
         reg.counter_add("opt.instances_visited", self.instances_visited);
         reg.counter_add("opt.shortcuts_materialized", self.shortcuts_materialized);
         reg.counter_add("opt.shortcut_hits", self.shortcut_hits);
+        reg.counter_add("opt.label_searches", self.label_searches);
     }
 }
 
@@ -371,6 +440,7 @@ impl CompactGraph {
             stats,
             num_node_execs,
             shortcuts: ShortcutTable::new(num_occs),
+            memo_high_water: AtomicUsize::new(0),
         };
         for ch in &mut g.channels {
             ch.sort_unstable_by_key(|&(_, tu)| tu);
@@ -386,7 +456,8 @@ impl CompactGraph {
     /// [`CompactGraph::first_difference`] pins. `use_base` is
     /// [`use_slot_base`] of `nodes`, the row base `data_dyn` was laid out
     /// against. The shortcut memo is derived state (excluded from
-    /// `first_difference`) and starts empty.
+    /// `first_difference`) and starts empty, as does the walk-memo high-water
+    /// mark.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         nodes: NodeGraph,
@@ -411,6 +482,7 @@ impl CompactGraph {
             stats,
             num_node_execs,
             shortcuts: ShortcutTable::new(num_occs),
+            memo_high_water: AtomicUsize::new(0),
         }
     }
 
@@ -418,6 +490,11 @@ impl CompactGraph {
     #[inline]
     pub fn stmt_of(&self, occ: u32) -> StmtId {
         self.nodes.occ_stmt[occ as usize]
+    }
+
+    /// Use slots across all occurrences (the data-edge rows).
+    fn num_use_slots(&self) -> u64 {
+        u64::from(self.use_base[self.nodes.num_occs()])
     }
 
     /// Statements in the program (the width of a slice bitmap).
@@ -466,8 +543,10 @@ impl CompactGraph {
         occ: u32,
         k: u8,
         ts: u64,
+        stats: &mut TraversalStats,
     ) -> Result<Option<(u32, u64)>, L::Error> {
         for &(target, chan) in self.dyn_edges(occ, k) {
+            stats.label_searches += 1;
             if let Some(td) = labels.search(chan, ts)? {
                 return Ok((target != NONE_TARGET).then_some((target, td)));
             }
@@ -475,7 +554,7 @@ impl CompactGraph {
         Ok(match self.nodes.use_res[occ as usize][k as usize] {
             UseRes::StaticDu { target, .. } => Some((target, ts)),
             UseRes::StaticUu { target, use_idx, .. } => {
-                return self.resolve_use(labels, target, use_idx, ts)
+                return self.resolve_use(labels, target, use_idx, ts, stats)
             }
             UseRes::Dynamic | UseRes::NoDep => None,
         })
@@ -488,9 +567,11 @@ impl CompactGraph {
         labels: &mut L,
         occ: u32,
         ts: u64,
+        stats: &mut TraversalStats,
     ) -> Result<Option<(u32, u64)>, L::Error> {
         let key = self.nodes.occ_block_key[occ as usize];
         for &(target, chan) in self.cd_edges(key) {
+            stats.label_searches += 1;
             if let Some(tp) = labels.search(chan, ts)? {
                 return Ok((target != NONE_TARGET).then_some((target, tp)));
             }
@@ -551,30 +632,30 @@ impl CompactGraph {
         ts: u64,
         stats: &mut TraversalStats,
     ) -> Result<BTreeSet<StmtId>, L::Error> {
-        let mut slice = StmtBits::new(self.num_stmts());
-        let mut visited = FastSet::default();
+        let mut slice = Bits::new(self.num_stmts());
+        let mut visited = self.walk_memo(ts);
         let mut work = vec![(occ, ts)];
-        slice.insert(self.stmt_of(occ));
         while let Some((occ, ts)) = work.pop() {
-            if !visited.insert((occ, ts)) {
+            if !visited.insert(u64::from(occ), ts) {
                 continue;
             }
             stats.instances_visited += 1;
+            slice.insert(self.stmt_of(occ).index());
             let nuses = self.nodes.use_res[occ as usize].len();
             for k in 0..nuses as u8 {
-                if let Some((docc, td)) = self.resolve_use(labels, occ, k, ts)? {
-                    slice.insert(self.stmt_of(docc));
-                    work.push((docc, td));
-                }
+                work.extend(self.resolve_use(labels, occ, k, ts, stats)?);
             }
-            if let Some((pocc, tp)) = self.resolve_cd(labels, occ, ts)? {
-                slice.insert(self.stmt_of(pocc));
-                work.push((pocc, tp));
-            }
+            work.extend(self.resolve_cd(labels, occ, ts, stats)?);
         }
-        Ok(slice.into_set())
+        self.note_walk(&visited);
+        Ok(slice.into_stmts())
     }
 
+    /// The shortcut walk. Every instance it visits is expanded — its
+    /// closure looked up, so `shortcut_hits` counts visits — but the rest
+    /// is done once per query: a closure's statements enter the slice on
+    /// its occurrence's first visit, and a use or control frontier entry
+    /// is resolved once per timestamp (its successor is already queued).
     fn slice_shortcut<L: LabelSearch>(
         &self,
         labels: &mut L,
@@ -582,42 +663,59 @@ impl CompactGraph {
         ts: u64,
         stats: &mut TraversalStats,
     ) -> Result<BTreeSet<StmtId>, L::Error> {
-        let mut slice = StmtBits::new(self.num_stmts());
-        let mut visited = FastSet::default();
+        let num_occs = self.nodes.num_occs() as u64;
+        let cd_ids = num_occs + self.num_use_slots();
+        let mut slice = Bits::new(self.num_stmts());
+        let mut expanded = Bits::new(self.nodes.num_occs());
+        let mut memo = self.walk_memo(ts);
         let mut work = vec![(occ, ts)];
         while let Some((occ, ts)) = work.pop() {
-            if !visited.insert((occ, ts)) {
+            if !memo.insert(u64::from(occ), ts) {
                 continue;
             }
             stats.instances_visited += 1;
             let sc = self.shortcut_counted(occ, stats);
-            for &s in &sc.stmts {
-                slice.insert(s);
-            }
-            for f in &sc.frontier {
-                match *f {
-                    Frontier::Use(o, k) => {
-                        if let Some((docc, td)) = self.resolve_use(labels, o, k, ts)? {
-                            slice.insert(self.stmt_of(docc));
-                            work.push((docc, td));
-                        }
-                    }
-                    Frontier::Cd(o) => {
-                        if let Some((pocc, tp)) = self.resolve_cd(labels, o, ts)? {
-                            slice.insert(self.stmt_of(pocc));
-                            work.push((pocc, tp));
-                        }
-                    }
-                    Frontier::Jump(target, delta) => {
-                        if ts >= delta {
-                            slice.insert(self.stmt_of(target));
-                            work.push((target, ts - delta));
-                        }
-                    }
+            if expanded.insert(occ as usize) {
+                for &s in &sc.stmts {
+                    slice.insert(s.index());
                 }
             }
+            for f in &sc.frontier {
+                let next = match *f {
+                    Frontier::Use(o, k) => {
+                        let slot = self.use_base[o as usize] + u32::from(k);
+                        if !memo.insert(num_occs + u64::from(slot), ts) {
+                            continue;
+                        }
+                        self.resolve_use(labels, o, k, ts, stats)?
+                    }
+                    Frontier::Cd(o) => {
+                        let key = self.nodes.occ_block_key[o as usize];
+                        if !memo.insert(cd_ids + u64::from(key), ts) {
+                            continue;
+                        }
+                        self.resolve_cd(labels, o, ts, stats)?
+                    }
+                    Frontier::Jump(target, delta) => (ts >= delta).then(|| (target, ts - delta)),
+                };
+                work.extend(next);
+            }
         }
-        Ok(slice.into_set())
+        self.note_walk(&memo);
+        Ok(slice.into_stmts())
+    }
+
+    /// An empty [`WalkMemo`] for a walk from timestamp `ts`, sized for the
+    /// largest walk over this graph so far.
+    fn walk_memo(&self, ts: u64) -> WalkMemo {
+        let ids = 2 * self.nodes.num_occs() as u64 + self.num_use_slots();
+        let stride = self.num_node_execs.max(ts.saturating_add(1));
+        WalkMemo::new(ids, stride, self.memo_high_water.load(Ordering::Relaxed))
+    }
+
+    /// Raises the high-water mark to a finished walk's memo size.
+    fn note_walk(&self, memo: &WalkMemo) {
+        self.memo_high_water.fetch_max(memo.len(), Ordering::Relaxed);
     }
 
     /// The shortcut closure of `occ` (computed lazily, memoized in the
@@ -1274,9 +1372,105 @@ impl ReplayVisitor for Builder<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::{build_compact, FullGraph, OptConfig, SpecPolicy};
-    use dynslice_analysis::ProgramAnalysis;
     use dynslice_runtime::{run, VmOptions};
+
+    /// The shortcut walk without its per-query dedupe: every frontier
+    /// entry of every visited instance is resolved, and every visited
+    /// instance adds its closure's statements.
+    fn slice_every_entry(g: &CompactGraph, occ: u32, ts: u64) -> (BTreeSet<StmtId>, TraversalStats) {
+        let mut stats = TraversalStats::default();
+        let mut labels = Resident(&g.channels);
+        let mut slice = BTreeSet::new();
+        let mut visited = std::collections::HashSet::new();
+        let mut work = vec![(occ, ts)];
+        while let Some((occ, ts)) = work.pop() {
+            if !visited.insert((occ, ts)) {
+                continue;
+            }
+            stats.instances_visited += 1;
+            let sc = g.shortcut_counted(occ, &mut stats);
+            slice.extend(&sc.stmts);
+            for f in &sc.frontier {
+                let next = match *f {
+                    Frontier::Use(o, k) => g.resolve_use(&mut labels, o, k, ts, &mut stats),
+                    Frontier::Cd(o) => g.resolve_cd(&mut labels, o, ts, &mut stats),
+                    Frontier::Jump(target, delta) => Ok((ts >= delta).then(|| (target, ts - delta))),
+                };
+                work.extend(next.unwrap_or_else(|never: Infallible| match never {}));
+            }
+        }
+        (slice, stats)
+    }
+
+    /// Each loop iteration is one node instance, and `s` and `t` both use
+    /// `x`, which loads a dynamically labeled array cell. `s` and `t` carry
+    /// across iterations, so a slice visits both statements' instances at
+    /// each iteration's timestamp, and both closures hold `x`'s labeled
+    /// use. The walk resolves that use once per timestamp: the same slice
+    /// and instances as resolving it per instance (and as FP), with fewer
+    /// label searches.
+    #[test]
+    fn shared_frontier_entries_resolve_once_per_timestamp() {
+        let src = "global int a[8];
+             global int out[2];
+             fn main() {
+               int i;
+               int s = 0;
+               int t = 1;
+               for (i = 0; i < 48; i = i + 1) {
+                 a[(i * 5) % 8] = a[i % 8] + i;
+                 int x = a[(i * 3) % 8];
+                 s = s + x;
+                 t = t * 3 + x;
+               }
+               out[0] = s;
+               out[1] = t;
+               print s + t;
+             }";
+        let p = dynslice_lang::compile(src).unwrap();
+        let a = ProgramAnalysis::compute(&p);
+        let t = run(&p, VmOptions::default());
+        let full = FullGraph::build(&p, &a, &t.events);
+        let g = build_compact(&p, &a, &t.events, &OptConfig::default());
+        let (fs, fts) = *full.outputs.last().expect("one print");
+        let (occ, ts) = *g.outputs.last().expect("one print");
+        let (want, every) = slice_every_entry(&g, occ, ts);
+        let (got, once) = g.slice_with_stats(occ, ts, true);
+        assert_eq!(got, want);
+        assert_eq!(got, full.slice(&p, fs, fts), "FP's slice");
+        assert_eq!(once.instances_visited, every.instances_visited);
+        assert_eq!(once.shortcut_hits + once.shortcuts_materialized, once.instances_visited);
+        assert!(
+            once.label_searches < every.label_searches,
+            "{} searches, {} without the dedupe",
+            once.label_searches,
+            every.label_searches
+        );
+        // A timestamp too large to pack memo keys with walks on pair keys.
+        let far = u64::MAX - 1;
+        let (want, every) = slice_every_entry(&g, occ, far);
+        let (got, once) = g.slice_with_stats(occ, far, true);
+        assert_eq!((got, once.instances_visited), (want, every.instances_visited));
+    }
+
+    /// A memo whose ids and timestamps cannot share a word keeps `(id,
+    /// ts)` pairs, and either form answers "done before?" the same way.
+    #[test]
+    fn walk_memo_packs_keys_only_when_they_fit() {
+        let mut packed = WalkMemo::new(10, 100, 0);
+        let mut pairs = WalkMemo::new(u64::MAX / 2, 3, 0);
+        assert!(matches!(packed, WalkMemo::Packed { .. }));
+        assert!(matches!(pairs, WalkMemo::Pairs(_)));
+        for memo in [&mut packed, &mut pairs] {
+            assert!(memo.insert(1, 2));
+            assert!(memo.insert(2, 1));
+            assert!(!memo.insert(1, 2));
+            assert!(memo.insert(0, 2));
+            assert_eq!(memo.len(), 3);
+        }
+    }
 
     /// The builder's activation stack isolates frames, and a stack slot
     /// an activation reuses keeps nothing of the one that left it.

@@ -4,7 +4,7 @@
 //! The keys are dense ids and counters, never values a client picks, so
 //! SipHash's resistance to chosen collisions buys nothing.
 //!
-//! Users: the slicing walk's visited set and the shortcut closures' scratch
+//! Users: the slicing walk's memo and the shortcut closures' scratch
 //! sets ([`crate::compact`]), the builder's dynamic-edge maps and per-frame
 //! use-use memo (keyed by occurrences), and the paged cache's shard maps
 //! ([`crate::paged`]).

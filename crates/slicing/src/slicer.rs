@@ -103,6 +103,9 @@ pub struct SliceStats {
     /// Traversal steps answered by a memoized shortcut closure
     /// (OPT/paged).
     pub shortcut_hits: u64,
+    /// Dynamic-label searches, one per channel tried while resolving a use
+    /// or control dependence (OPT/paged).
+    pub label_searches: u64,
     /// Backward passes over the record stream (LP).
     pub passes: u32,
     /// Chunks whose records were scanned (LP).
@@ -124,10 +127,11 @@ impl SliceStats {
     /// running total, which `PagedGraph::record_metrics` registers under
     /// the same `paged.bytes_read` key.
     pub fn record_metrics_for(&self, slicer: &str, reg: &dynslice_obs::Registry) {
-        let pairs: [(&str, u64); 8] = [
+        let pairs: [(&str, u64); 9] = [
             ("instances_visited", self.instances_visited),
             ("shortcuts_materialized", self.shortcuts_materialized),
             ("shortcut_hits", self.shortcut_hits),
+            ("label_searches", self.label_searches),
             ("passes", u64::from(self.passes)),
             ("chunks_read", self.chunks_read),
             ("chunks_skipped", self.chunks_skipped),
@@ -148,6 +152,7 @@ impl From<TraversalStats> for SliceStats {
             instances_visited: t.instances_visited,
             shortcuts_materialized: t.shortcuts_materialized,
             shortcut_hits: t.shortcut_hits,
+            label_searches: t.label_searches,
             ..SliceStats::default()
         }
     }
@@ -267,11 +272,13 @@ mod tests {
             instances_visited: 7,
             shortcuts_materialized: 2,
             shortcut_hits: 5,
+            label_searches: 11,
         };
         let s = SliceStats::from(t);
         assert_eq!(s.instances_visited, 7);
         assert_eq!(s.shortcuts_materialized, 2);
         assert_eq!(s.shortcut_hits, 5);
+        assert_eq!(s.label_searches, 11);
         assert_eq!(s.passes, 0);
 
         let lp = LpStats {

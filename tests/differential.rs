@@ -408,7 +408,8 @@ fn proptest_regression_seeds() {
 }
 
 /// One walk behind two backends: per query, OPT and paged report the
-/// same `instances_visited`, `shortcut_hits` and `shortcuts_materialized`
+/// same `instances_visited`, `shortcut_hits`, `shortcuts_materialized` and
+/// `label_searches`
 /// through the unified trait when they answer the same queries in the
 /// same order on graphs built from the same trace — shortcuts on and off.
 #[test]
@@ -426,7 +427,7 @@ fn opt_and_paged_report_identical_traversal_counters() {
             let mut paged = session.paged(&trace, &OptConfig::default(), path, 2).unwrap();
             paged.shortcuts = shortcuts;
             let before = paged.stats();
-            let mut bytes = 0;
+            let (mut bytes, mut searches) = (0, 0);
             for c in pick_cells(opt.graph().last_def.keys().copied(), 25) {
                 let q = Criterion::CellLastDef(c);
                 let (want, o) = opt.slice_with_stats(&q).unwrap();
@@ -438,14 +439,22 @@ fn opt_and_paged_report_identical_traversal_counters() {
                     "{}: {q:?} shortcuts {shortcuts}",
                     w.name
                 );
+                assert_eq!(
+                    o.label_searches, p.label_searches,
+                    "{}: {q:?} shortcuts {shortcuts} label searches",
+                    w.name
+                );
                 assert!(o.instances_visited > 0);
                 if !shortcuts {
                     assert_eq!(p.shortcut_hits + p.shortcuts_materialized, 0);
                 }
                 bytes += p.bytes_read;
+                searches += p.label_searches;
             }
             // Each query reports its own reads; together they are all of them.
             assert_eq!(bytes, (paged.stats() - before).bytes_read, "{}", w.name);
+            // The label-heavy workload's walks really search labels.
+            assert!(w.name != "300.twolf" || searches > 0, "no label searches counted");
         }
     }
 }
