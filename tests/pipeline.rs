@@ -180,7 +180,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The OPT builder's exact output on three branchy, pointer-heavy suite
 /// programs under the default configuration, with every optimization off,
-/// and without path specialization: the snapshot bytes of each build hash
+/// and without path specialization, and on the other seven suite programs
+/// under the default configuration: the snapshot bytes of each build hash
 /// to a recorded digest, so a rewrite of the build pass cannot move one
 /// byte of the graph it produces.
 #[test]
@@ -197,6 +198,13 @@ fn suite_builds_match_pinned_digests() {
         ("099.go", no_spec(), 0x0f4e_7218_9ce0_e9dd),
         ("300.twolf", no_spec(), 0x66bf_9a1d_1ac8_729b),
         ("181.mcf", no_spec(), 0x78e4_7c5c_9aaa_8d12),
+        ("256.bzip2", OptConfig::default(), 0x1042_8184_abaf_1f4b),
+        ("255.vortex", OptConfig::default(), 0x6d3c_a784_8733_bb7b),
+        ("197.parser", OptConfig::default(), 0xc91d_5626_04d0_3e13),
+        ("164.gzip", OptConfig::default(), 0xd7b5_df15_baf1_e4ba),
+        ("134.perl", OptConfig::default(), 0xb7f8_2ba0_ad65_2d04),
+        ("130.li", OptConfig::default(), 0x34ff_d32a_d17a_053b),
+        ("126.gcc", OptConfig::default(), 0xebfc_0873_4cb4_f9ce),
     ] {
         let w = workloads::by_name(name).unwrap();
         let src = w.source(0.2);
