@@ -14,7 +14,6 @@ fn main() {
         let opt = p.session.opt(&p.trace, &OptConfig::default());
         let st = &opt.graph().stats;
         let total = (st.total_data + st.total_control).max(1) as f64;
-        let g = |k: OptKind| st.saved.get(&k).copied().unwrap_or(0);
         println!(
             "{:<12} {:>7.1}% {:>7.1}% {:>8.1}% {:>8.1}% | {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
             p.name,
@@ -22,12 +21,12 @@ fn main() {
             st.total_control as f64 / total * 100.0,
             st.stored_data_pairs as f64 / st.total_data.max(1) as f64 * 100.0,
             st.stored_control_pairs as f64 / st.total_control.max(1) as f64 * 100.0,
-            g(OptKind::LocalDefUse) + g(OptKind::PartialDefUse),
-            g(OptKind::UseUse),
-            g(OptKind::PathDefUse),
-            g(OptKind::SharedData),
-            g(OptKind::ControlDelta) + g(OptKind::PathControl),
-            g(OptKind::SharedControl),
+            st.saved(OptKind::LocalDefUse) + st.saved(OptKind::PartialDefUse),
+            st.saved(OptKind::UseUse),
+            st.saved(OptKind::PathDefUse),
+            st.saved(OptKind::SharedData),
+            st.saved(OptKind::ControlDelta) + st.saved(OptKind::PathControl),
+            st.saved(OptKind::SharedControl),
         );
     }
     println!("(paper: control dependences are a small fraction; data savings dominate)");

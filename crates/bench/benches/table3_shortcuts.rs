@@ -6,6 +6,7 @@ use dynslice_bench::*;
 
 fn main() {
     header("Table 3", "benefit of providing shortcuts");
+    println!("   (median of {PREPROCESS_RUNS} passes over the queries per column)");
     println!(
         "{:<12} {:>16} {:>16} {:>10}",
         "program", "w/o shortcuts", "with shortcuts", "w/o / with"
@@ -14,7 +15,7 @@ fn main() {
         let mut opt = p.session.opt(&p.trace, &OptConfig::default());
         let qs = queries(opt.graph().last_def.keys().copied());
         opt.shortcuts = false;
-        let (_, slow) = time(|| {
+        let slow = median_time(PREPROCESS_RUNS, || {
             for q in &qs {
                 let _ = opt.slice(q);
             }
@@ -25,7 +26,7 @@ fn main() {
         for q in &qs {
             let _ = opt.slice(q);
         }
-        let (_, fast) = time(|| {
+        let fast = median_time(PREPROCESS_RUNS, || {
             for q in &qs {
                 let _ = opt.slice(q);
             }

@@ -6,6 +6,7 @@ use dynslice_bench::*;
 
 fn main() {
     header("Table 7", "slicing times: FP vs OPT");
+    println!("   (median of {PREPROCESS_RUNS} passes over the queries per column)");
     println!("{:<12} {:>12} {:>12} {:>10}", "program", "FP (ms)", "OPT (ms)", "FP/OPT");
     for p in prepare_all() {
         let fp = p.session.fp(&p.trace);
@@ -15,12 +16,12 @@ fn main() {
         for q in &qs {
             let _ = opt.slice(q);
         }
-        let (_, t_fp) = time(|| {
+        let t_fp = median_time(PREPROCESS_RUNS, || {
             for q in &qs {
                 let _ = fp.slice(q);
             }
         });
-        let (_, t_opt) = time(|| {
+        let t_opt = median_time(PREPROCESS_RUNS, || {
             for q in &qs {
                 let _ = opt.slice(q);
             }

@@ -59,7 +59,8 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t0.elapsed())
 }
 
-/// Runs per preprocessing measurement (Tables 4, 5 and 8).
+/// Runs per preprocessing measurement (Tables 4, 5 and 8), and passes
+/// over the query set per slicing-time column (Tables 3 and 7).
 pub const PREPROCESS_RUNS: usize = 5;
 
 /// The median wall-clock time of `runs` calls of `f`: a single build's

@@ -47,6 +47,8 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
     // The activation stack, innermost last: block events and exits always
     // name the innermost activation.
     let mut frames: Vec<FrameSeg> = Vec::new();
+    // Buffers of exited activations, for the next ones entered.
+    let mut spare: Vec<Vec<(u32, BlockId)>> = Vec::new();
     let mut ordinal = 0u32;
 
     let flush = |graph: &NodeGraph,
@@ -84,7 +86,7 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
                     func,
                     tracker: None,
                     prev: None,
-                    buffered: Vec::new(),
+                    buffered: spare.pop().unwrap_or_default(),
                 });
             }
             TraceEvent::Block { frame, block } => {
@@ -110,13 +112,15 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
                 seg.prev = Some(block);
             }
             TraceEvent::FrameExit { frame } => {
-                let seg = frames.pop().expect("exit for live frame");
+                let mut seg = frames.pop().expect("exit for live frame");
                 assert!(seg.frame == frame, "exit for a non-innermost frame");
                 if let (Some(tracker), Some(prev)) = (seg.tracker, seg.prev) {
                     let bl = paths.func(seg.func);
                     let done = bl.finish(tracker, prev);
                     flush(graph, seg.func, Some(done.id), &seg.buffered, &mut assigns);
                 }
+                seg.buffered.clear();
+                spare.push(seg.buffered);
             }
             TraceEvent::Addr(_) => {}
         }

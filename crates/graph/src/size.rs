@@ -70,12 +70,28 @@ pub enum OptKind {
     SharedControl,
 }
 
+impl OptKind {
+    /// Every kind, in declaration order (the index of [`BuildStats`]'s
+    /// counters).
+    pub const ALL: [OptKind; 8] = [
+        OptKind::LocalDefUse,
+        OptKind::PartialDefUse,
+        OptKind::UseUse,
+        OptKind::PathDefUse,
+        OptKind::SharedData,
+        OptKind::ControlDelta,
+        OptKind::PathControl,
+        OptKind::SharedControl,
+    ];
+}
+
 /// Dependence-instance statistics gathered while building a compacted graph:
 /// how many timestamp pairs each optimization avoided storing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
-    /// Pairs avoided, by optimization.
-    pub saved: std::collections::HashMap<OptKind, u64>,
+    /// Pairs avoided, indexed by `OptKind as usize` (read through
+    /// [`BuildStats::saved`]).
+    pub(crate) saved: [u64; OptKind::ALL.len()],
     /// Pairs stored explicitly for data dependences.
     pub stored_data_pairs: u64,
     /// Pairs stored explicitly for control dependences.
@@ -90,13 +106,19 @@ pub struct BuildStats {
 }
 
 impl BuildStats {
+    #[inline]
     pub(crate) fn save(&mut self, k: OptKind) {
-        *self.saved.entry(k).or_insert(0) += 1;
+        self.saved[k as usize] += 1;
+    }
+
+    /// Pairs optimization `k` avoided storing.
+    pub fn saved(&self, k: OptKind) -> u64 {
+        self.saved[k as usize]
     }
 
     /// Total pairs avoided across all optimizations.
     pub fn total_saved(&self) -> u64 {
-        self.saved.values().sum()
+        self.saved.iter().sum()
     }
 
     /// Fraction of dependence instances stored explicitly (the paper's
@@ -165,6 +187,8 @@ mod tests {
         st.save(OptKind::LocalDefUse);
         st.save(OptKind::UseUse);
         assert_eq!(st.total_saved(), 3);
+        assert_eq!(st.saved(OptKind::LocalDefUse), 2);
+        assert_eq!(st.saved(OptKind::SharedControl), 0);
         assert!((st.explicit_fraction() - 0.06).abs() < 1e-9);
     }
 }

@@ -57,11 +57,13 @@ proptest! {
             &p,
             dynslice_runtime::VmOptions { input: vec![seed as i64, 3], ..Default::default() },
         );
-        // Walk the main frame's block sequence through the tracker; every
-        // completed path id must decode to exactly the blocks it covered.
+        // Walk the main frame's block sequence through the tracker,
+        // collecting the blocks of the current path: every completed path
+        // id must decode to exactly the blocks it covered.
         let bl = paths.func(p.main);
         let mut tracker = None;
         let mut prev = None;
+        let mut current = Vec::new();
         let mut covered = Vec::new();
         let mut all_blocks = Vec::new();
         for ev in &t.events {
@@ -72,19 +74,20 @@ proptest! {
                     (tr @ None, _) => *tr = Some(bl.start(*block)),
                     (Some(tr), Some(pv)) => {
                         if let Some(done) = bl.step(tr, pv, *block) {
-                            prop_assert_eq!(bl.decode(done.id), done.blocks.clone());
-                            covered.extend(done.blocks);
+                            prop_assert_eq!(bl.decode(done.id), current.clone());
+                            covered.append(&mut current);
                         }
                     }
                     _ => unreachable!(),
                 }
+                current.push(*block);
                 prev = Some(*block);
             }
         }
         if let (Some(tr), Some(pv)) = (tracker, prev) {
             let done = bl.finish(tr, pv);
-            prop_assert_eq!(bl.decode(done.id), done.blocks.clone());
-            covered.extend(done.blocks);
+            prop_assert_eq!(bl.decode(done.id), current.clone());
+            covered.append(&mut current);
         }
         prop_assert_eq!(covered, all_blocks, "paths must exactly cover the trace");
     }

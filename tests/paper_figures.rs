@@ -118,11 +118,7 @@ fn fig2_local_def_use_is_label_free() {
         base.graph().size(false).pairs,
         opt1.graph().size(false).pairs
     );
-    assert!(opt1
-        .graph()
-        .stats
-        .saved
-        .contains_key(&dynslice::OptKind::LocalDefUse));
+    assert!(opt1.graph().stats.saved(dynslice::OptKind::LocalDefUse) > 0);
 }
 
 #[test]
@@ -146,7 +142,7 @@ fn fig5_use_use_removes_second_load_labels() {
         with.graph().size(false).pairs,
         without.graph().size(false).pairs
     );
-    assert!(with.graph().stats.saved.contains_key(&dynslice::OptKind::UseUse));
+    assert!(with.graph().stats.saved(dynslice::OptKind::UseUse) > 0);
     // And slices stay identical.
     let fp = session.fp(&trace);
     let q = Criterion::Output(0);
@@ -207,8 +203,8 @@ fn aliasing_partial_elimination_matches_fig3() {
     let st = &opt.graph().stats;
     // The load of x[0] resolves statically most iterations (partial
     // elimination) and is demoted only when the alias store intervenes.
-    let partial = st.saved.get(&dynslice::OptKind::PartialDefUse).copied().unwrap_or(0)
-        + st.saved.get(&dynslice::OptKind::LocalDefUse).copied().unwrap_or(0);
+    let partial =
+        st.saved(dynslice::OptKind::PartialDefUse) + st.saved(dynslice::OptKind::LocalDefUse);
     assert!(partial >= 8, "static hits: {partial}, stats {st:?}");
     assert!(st.demoted >= 3, "alias misses should demote: {st:?}");
     // Equivalence under aliasing pressure.
