@@ -296,6 +296,23 @@ pub enum AnySlicer<'s> {
     Paged(PagedGraph),
 }
 
+impl<'s> AnySlicer<'s> {
+    /// This backend without the borrow of the compiled program, when its
+    /// type carries none: OPT and paged own their compacted graph, and
+    /// forward its precomputed slices. FP and LP borrow the program and
+    /// come back unchanged as `Err`.
+    // Both arms move the backend by value, once per build.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn into_owned(self) -> Result<AnySlicer<'static>, Self> {
+        match self {
+            AnySlicer::Opt(o) => Ok(AnySlicer::Opt(o)),
+            AnySlicer::Forward(f) => Ok(AnySlicer::Forward(f)),
+            AnySlicer::Paged(p) => Ok(AnySlicer::Paged(p)),
+            borrowing @ (AnySlicer::Fp(_) | AnySlicer::Lp(_)) => Err(borrowing),
+        }
+    }
+}
+
 impl AnySlicer<'_> {
     /// The compacted graph, when this backend has one (OPT and paged) —
     /// criterion enumeration (`last_def`, `outputs`) lives there.

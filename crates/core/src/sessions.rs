@@ -27,9 +27,12 @@
 //! Everything a session did is preserved for the final run report:
 //! live and retired (evicted/unloaded/replaced) sessions alike produce a
 //! [`SessionReport`] under their name, so a run that loaded, queried,
-//! and evicted a trace still accounts for it.
+//! and evicted a trace still accounts for it. A server may retire
+//! sessions for as long as it runs, so only the newest
+//! [`RETIRED_KEPT`] retired sessions report one by one; older ones are
+//! summed into one report under [`RETIRED_OLDER`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,16 +91,18 @@ impl LruCache {
     }
 }
 
-/// A backend that owns everything it slices: the compiled [`Session`]
-/// it borrows from lives in the same value, so the pair can be stored,
-/// sent between threads, and dropped as a unit — which is exactly what a
+/// A backend that owns everything it slices, so it can be stored, sent
+/// between threads, and dropped as a unit — which is exactly what a
 /// session table needs and what the borrow-based [`Session::build_slicer`]
-/// API alone cannot provide.
+/// API alone cannot provide. Backends that borrow the compiled program
+/// (FP, LP) keep the [`Session`] in the same value; OPT, paged and
+/// forward own what they read (`AnySlicer::into_owned`), so they hold
+/// none, and a snapshot restore never compiles one.
 ///
 /// # Safety invariants
 ///
-/// `slicer` borrows from `*session` with its lifetime erased to
-/// `'static`. This is sound because:
+/// When `session` is `Some`, `slicer` borrows from `*session` with its
+/// lifetime erased to `'static`. This is sound because:
 /// * the `Session` is boxed, so its address is stable for the lifetime
 ///   of `OwnedSlicer` no matter how the outer value moves;
 /// * `session` is never mutated or replaced after construction;
@@ -105,10 +110,13 @@ impl LruCache {
 ///   borrow never dangles;
 /// * the erased lifetime never escapes: [`Self::slicer`] re-shrinks it
 ///   to the borrow of `self` (covariance of `AnySlicer<'s>` in `'s`).
+///
+/// When `session` is `None`, `slicer` is one of the variants whose types
+/// carry no lifetime, so it borrows nothing.
 pub struct OwnedSlicer {
     slicer: AnySlicer<'static>,
     #[allow(dead_code)] // owned purely to outlive `slicer`'s borrows
-    session: Box<Session>,
+    session: Option<Box<Session>>,
 }
 
 // `AnySlicer` is `Sync` by the `Slicer` trait bound; `Send` holds for
@@ -141,7 +149,8 @@ impl OwnedSlicer {
 
     /// Builds the `algo` backend from a program compiled and traced
     /// elsewhere (how `dynslice serve` wraps its launch trace), taking
-    /// ownership of the compiled program.
+    /// ownership of the compiled program. The program is kept only if the
+    /// backend borrows it (FP, LP).
     ///
     /// # Errors
     /// Disk-backed build failures.
@@ -156,30 +165,30 @@ impl OwnedSlicer {
         // SAFETY: see the type-level invariants — the box gives `session`
         // a stable address, and `slicer` (declared first) drops before it.
         let forever: &'static Session = unsafe { &*(session.as_ref() as *const Session) };
-        let slicer = forever.build_slicer(algo, trace, config, reg)?;
-        Ok(OwnedSlicer { slicer, session })
+        Ok(match forever.build_slicer(algo, trace, config, reg)?.into_owned() {
+            Ok(slicer) => OwnedSlicer { slicer, session: None },
+            Err(slicer) => OwnedSlicer { slicer, session: Some(session) },
+        })
     }
 
-    /// Restores a backend from a decoded [`Snapshot`]: the stored source
-    /// is re-compiled (cheap — no trace replay), and the restored
-    /// [`CompactGraph`] becomes the backend directly, so the load is
-    /// O(graph size) instead of O(trace length).
+    /// Restores a backend from a decoded [`Snapshot`]: the restored
+    /// [`CompactGraph`] becomes the backend directly, so the load costs
+    /// the snapshot's read, verification and decode, not a trace replay.
+    /// The stored source is not recompiled: OPT and paged read only the
+    /// graph.
     ///
     /// # Errors
-    /// [`LoadError::Bad`] if the snapshot's source no longer compiles or
-    /// `algo` is not graph-backed (only OPT and the paged hybrid restore
-    /// from a compacted graph); [`LoadError::Io`] if the paged spill
-    /// fails.
+    /// [`LoadError::Bad`] if `algo` is not graph-backed (only OPT and the
+    /// paged hybrid restore from a compacted graph); [`LoadError::Io`] if
+    /// the paged spill fails.
     pub fn from_snapshot(
         snap: Snapshot,
         algo: Algo,
         config: &SlicerConfig,
         reg: &Registry,
     ) -> Result<Self, LoadError> {
-        let session =
-            Box::new(Session::compile(&snap.source).map_err(|d| LoadError::Bad(d.to_string()))?);
         let slicer = graph_backend(snap.graph, algo, config, reg)?;
-        Ok(OwnedSlicer { slicer, session })
+        Ok(OwnedSlicer { slicer, session: None })
     }
 
     /// [`Self::build`] for graph-backed algorithms, additionally encoding
@@ -198,22 +207,29 @@ impl OwnedSlicer {
         config: &SlicerConfig,
         reg: &Registry,
     ) -> Result<(Self, Vec<u8>), LoadError> {
-        let session =
-            Box::new(Session::compile(src).map_err(|d| LoadError::Bad(d.to_string()))?);
+        let session = Session::compile(src).map_err(|d| LoadError::Bad(d.to_string()))?;
         let trace = session.run(input.clone());
         let graph = reg.time_phase(phases::GRAPH_BUILD, || {
             build_compact(&session.program, &session.analysis, &trace.events, &config.opt)
         });
+        // The graph is all a graph-backed backend reads.
+        drop((trace, session));
         let snap =
             Snapshot { source: src.to_string(), input, config: config.opt.clone(), graph };
         let bytes = reg.time_phase(phases::SNAPSHOT_IO, || snapshot::encode(&snap));
         let slicer = graph_backend(snap.graph, algo, config, reg)?;
-        Ok((OwnedSlicer { slicer, session }, bytes))
+        Ok((OwnedSlicer { slicer, session: None }, bytes))
     }
 
     /// The backend, with its lifetime tied back to `self`.
     pub fn slicer(&self) -> &AnySlicer<'_> {
         &self.slicer
+    }
+
+    /// Whether this value keeps a compiled program alive for its backend.
+    #[cfg(test)]
+    fn holds_session(&self) -> bool {
+        self.session.is_some()
     }
 }
 
@@ -495,14 +511,70 @@ impl Drop for LoadGuard<'_> {
     }
 }
 
-/// Retired sessions keep reporting: their final counters, keyed by name
-/// (suffixed `#2`, `#3`, … when the name was reused).
+/// The sum of the retired sessions folded out of the per-session list:
+/// counts add up, and the two high-water marks keep their maximum.
+#[derive(Debug, Default)]
+struct RetiredTotals {
+    sessions: u64,
+    evicted: u64,
+    requests: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    leases: u64,
+    client_connections: u64,
+    resident_bytes_max: u64,
+    lease_peak: u64,
+}
+
+impl RetiredTotals {
+    fn add(&mut self, c: &FinalCounters) {
+        self.sessions += 1;
+        self.evicted += u64::from(c.evicted);
+        self.requests += c.requests;
+        self.cache_hits += c.cache_hits;
+        self.cache_misses += c.cache_misses;
+        self.leases += c.leases;
+        self.client_connections += c.client_connections;
+        self.resident_bytes_max = self.resident_bytes_max.max(c.resident_bytes);
+        self.lease_peak = self.lease_peak.max(c.lease_peak);
+    }
+
+    fn report(&self) -> SessionReport {
+        let mut report = SessionReport::default();
+        report.counters.insert("sessions".into(), self.sessions);
+        report.counters.insert("evicted".into(), self.evicted);
+        report.counters.insert("requests".into(), self.requests);
+        report.counters.insert("cache_hits".into(), self.cache_hits);
+        report.counters.insert("cache_misses".into(), self.cache_misses);
+        report.counters.insert("leases".into(), self.leases);
+        report.counters.insert("client_connections".into(), self.client_connections);
+        report.gauges.insert("resident_bytes_max".into(), self.resident_bytes_max as f64);
+        report.gauges.insert("lease_peak".into(), self.lease_peak as f64);
+        report
+    }
+}
+
+/// How many of the most recently retired sessions keep a report of their
+/// own: a fixed bound, so a server that loads and unloads for as long as
+/// it runs holds a fixed amount of report state.
+pub const RETIRED_KEPT: usize = 256;
+
+/// The final-report key of the sessions retired before the newest
+/// [`RETIRED_KEPT`], summed into one report (suffixed like any reused
+/// name if a session took the key first).
+pub const RETIRED_OLDER: &str = "#retired";
+
+/// Retired sessions keep reporting: the newest [`RETIRED_KEPT`] by their
+/// final counters, keyed by name (suffixed `#2`, `#3`, … when the name
+/// was reused), and the rest summed in `retired_older`.
 struct ManagerInner {
     sessions: BTreeMap<String, Arc<SessionEntry>>,
     /// Names with an asynchronous `load` still building, mapped to the
     /// backend the build will produce (for `list`).
     loading: BTreeMap<String, Algo>,
-    retired: Vec<(String, FinalCounters)>,
+    /// The newest retired sessions, oldest first.
+    retired: VecDeque<(String, FinalCounters)>,
+    retired_older: RetiredTotals,
     lru_seq: u64,
     /// Per-session caught-panic counts. A session reaching
     /// [`QUARANTINE_PANICS`] is evicted into `quarantined`; the count is
@@ -512,6 +584,19 @@ struct ManagerInner {
     /// queries until re-`load`ed. Maps the name to the backend tag and
     /// request count it had when quarantined (for `list`).
     quarantined: BTreeMap<String, (String, u64)>,
+}
+
+impl ManagerInner {
+    /// Records a retired session's final counters, folding the oldest
+    /// kept one into the totals once [`RETIRED_KEPT`] are kept.
+    fn retire(&mut self, name: String, counters: FinalCounters) {
+        if self.retired.len() == RETIRED_KEPT {
+            if let Some((_, oldest)) = self.retired.pop_front() {
+                self.retired_older.add(&oldest);
+            }
+        }
+        self.retired.push_back((name, counters));
+    }
 }
 
 /// Caught panics in one session's slicer before it is quarantined.
@@ -580,7 +665,8 @@ impl SessionManager {
             inner: Mutex::new(ManagerInner {
                 sessions: BTreeMap::new(),
                 loading: BTreeMap::new(),
-                retired: Vec::new(),
+                retired: VecDeque::new(),
+                retired_older: RetiredTotals::default(),
                 lru_seq: 0,
                 panics: BTreeMap::new(),
                 quarantined: BTreeMap::new(),
@@ -808,12 +894,12 @@ impl SessionManager {
             // under this same lock, and nothing removed them since.
             let gone = inner.sessions.remove(&victim).expect("planned victim is resident");
             let report = gone.final_counters(true);
-            inner.retired.push((victim, report));
+            inner.retire(victim, report);
             self.counters.sessions_evicted.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(old) = inner.sessions.remove(&spec.name) {
             let report = old.final_counters(false);
-            inner.retired.push((spec.name.clone(), report));
+            inner.retire(spec.name.clone(), report);
             self.counters.sessions_unloaded.fetch_add(1, Ordering::Relaxed);
         }
         inner.lru_seq += 1;
@@ -918,7 +1004,7 @@ impl SessionManager {
                 let report = entry.final_counters(true);
                 let requests = entry.requests.load(Ordering::Relaxed);
                 let algo = entry.slicer().name().to_string();
-                inner.retired.push((name.to_string(), report));
+                inner.retire(name.to_string(), report);
                 (algo, requests)
             }
             // The session may already be gone (evicted between panics);
@@ -966,7 +1052,7 @@ impl SessionManager {
             // `inner.sessions` in this same loop iteration, under the lock.
             let gone = inner.sessions.remove(&victim).expect("victim is resident");
             let report = gone.final_counters(true);
-            inner.retired.push((victim, report));
+            inner.retire(victim, report);
             self.counters.sessions_evicted.fetch_add(1, Ordering::Relaxed);
             evicted += 1;
         }
@@ -1007,7 +1093,7 @@ impl SessionManager {
         match inner.sessions.remove(name) {
             Some(entry) => {
                 let report = entry.final_counters(false);
-                inner.retired.push((name.to_string(), report));
+                inner.retire(name.to_string(), report);
                 inner.panics.remove(name);
                 self.counters.sessions_unloaded.fetch_add(1, Ordering::Relaxed);
                 self.publish(&inner);
@@ -1073,24 +1159,45 @@ impl SessionManager {
     }
 
     /// Per-session sub-reports for the final [`dynslice_obs::RunReport`]:
-    /// resident sessions under their names, retired ones after them
-    /// (suffixed `#2`, `#3`, … when a name was reused).
+    /// resident sessions under their names, the newest [`RETIRED_KEPT`]
+    /// retired ones after them (suffixed `#2`, `#3`, … when a name was
+    /// reused), and the older retired ones summed under
+    /// [`RETIRED_OLDER`].
     pub fn final_reports(&self) -> BTreeMap<String, SessionReport> {
         let inner = self.locked();
         let mut out = BTreeMap::new();
         for (name, entry) in &inner.sessions {
             out.insert(name.clone(), entry.final_counters(false).report());
         }
+        let mut next = HashMap::new();
         for (name, counters) in &inner.retired {
-            let mut key = name.clone();
-            let mut n = 2;
-            while out.contains_key(&key) {
-                key = format!("{name}#{n}");
-                n += 1;
-            }
+            let key = unique_key(&out, &mut next, name);
             out.insert(key, counters.report());
         }
+        if inner.retired_older.sessions > 0 {
+            let key = unique_key(&out, &mut next, RETIRED_OLDER);
+            out.insert(key, inner.retired_older.report());
+        }
         out
+    }
+}
+
+/// `name`, or else the first of `name#2`, `name#3`, … that `out` lacks.
+/// `next` holds the suffix to try next per name: keys are never freed,
+/// so each name's search resumes where its last one stopped and a name
+/// reused n times costs n probes in all.
+fn unique_key<'n>(
+    out: &BTreeMap<String, SessionReport>,
+    next: &mut HashMap<&'n str, u64>,
+    name: &'n str,
+) -> String {
+    let n = next.entry(name).or_insert(1);
+    loop {
+        let key = if *n == 1 { name.to_string() } else { format!("{name}#{n}") };
+        *n += 1;
+        if !out.contains_key(&key) {
+            return key;
+        }
     }
 }
 
@@ -1599,6 +1706,139 @@ mod tests {
         let other = SessionSpec { input: vec![7], ..spec("b", &program) };
         m.load(&other, &reg).unwrap();
         assert_eq!(reg.counter("snapshot.miss"), 3, "different input, different digest");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Graph-backed backends keep no compiled program: a restored OPT
+    /// session, a restored paged session and the cold builds behind them
+    /// hold no `Session`, and each slices every output and last
+    /// definition like a plain cold OPT build. FP and LP borrow the
+    /// program and keep it.
+    #[test]
+    fn graph_backed_sessions_hold_no_compiled_program() {
+        let dir = scratch("no-session");
+        let reg = Registry::new();
+        let config =
+            SlicerConfig { scratch_dir: dir.join("scratch"), ..SlicerConfig::default() };
+        let input = vec![5];
+        let cold = OwnedSlicer::build(PAGED_PROGRAM, input.clone(), Algo::Opt, &config, &reg)
+            .unwrap();
+        let (with_snap, bytes) =
+            OwnedSlicer::build_with_snapshot(PAGED_PROGRAM, input.clone(), Algo::Opt, &config, &reg)
+                .unwrap();
+        let paged = OwnedSlicer::build(PAGED_PROGRAM, input.clone(), Algo::Paged, &config, &reg)
+            .unwrap();
+        let restore = |algo| {
+            let snap = snapshot::decode(&bytes).unwrap();
+            OwnedSlicer::from_snapshot(snap, algo, &config, &reg).unwrap()
+        };
+        let (restored_opt, restored_paged) = (restore(Algo::Opt), restore(Algo::Paged));
+        let graph = cold.slicer().compact_graph().unwrap();
+        let mut criteria: Vec<Criterion> =
+            (0..graph.outputs.len()).map(Criterion::Output).collect();
+        criteria.extend(graph.last_def.keys().map(|&c| Criterion::CellLastDef(c)));
+        assert!(criteria.len() > 2);
+        for (what, owned) in [
+            ("cold paged build", &paged),
+            ("build_with_snapshot", &with_snap),
+            ("restored opt", &restored_opt),
+            ("restored paged", &restored_paged),
+        ] {
+            assert!(!owned.holds_session(), "{what} holds a compiled program");
+            for c in &criteria {
+                assert_eq!(
+                    owned.slicer().slice(c).unwrap(),
+                    cold.slicer().slice(c).unwrap(),
+                    "{what}: {c:?}"
+                );
+            }
+        }
+        assert!(!cold.holds_session(), "cold OPT build holds a compiled program");
+        for algo in [Algo::Fp, Algo::Lp] {
+            let owned = OwnedSlicer::build(PAGED_PROGRAM, input.clone(), algo, &config, &reg)
+                .unwrap();
+            assert!(owned.holds_session(), "{algo:?} borrows the program");
+            let c = &criteria[0];
+            assert_eq!(owned.slicer().slice(c).unwrap(), cold.slicer().slice(c).unwrap());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cache entry written by an older snapshot format (version 1) is a
+    /// miss, not an error: the rebuild overwrites it with the current
+    /// format, and the next load hits.
+    #[test]
+    fn snapshot_cache_replaces_an_older_format_entry() {
+        let dir = scratch("snapcache-v1");
+        let program = write_program(&dir, "p.minic");
+        let cache = dir.join("snapcache");
+        let mut m = manager(4, None, "snapcache-v1");
+        m.set_snapshot_dir(&cache);
+        let reg = Registry::new();
+        let c = Criterion::Output(0);
+        m.load(&spec("a", &program), &reg).unwrap();
+        let cold = m.checkout("a", 0).unwrap().slicer().slice(&c).unwrap();
+        let entry = std::fs::read_dir(&cache).unwrap().next().unwrap().unwrap().path();
+        let current = std::fs::read(&entry).unwrap();
+        let mut v1 = current.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&entry, &v1).unwrap();
+        assert!(matches!(
+            snapshot::load(&entry),
+            Err(SnapshotError::UnsupportedVersion(1))
+        ));
+        assert_eq!(m.unload("a"), Unload::Unloaded);
+        m.load(&spec("a", &program), &reg).unwrap();
+        assert_eq!(
+            (reg.counter("snapshot.miss"), reg.counter("snapshot.hit")),
+            (2, 0),
+            "a version-1 entry is a miss"
+        );
+        assert_eq!(m.checkout("a", 0).unwrap().slicer().slice(&c).unwrap(), cold);
+        assert_eq!(std::fs::read(&entry).unwrap(), current, "the rebuild overwrote it");
+        assert_eq!(m.unload("a"), Unload::Unloaded);
+        m.load(&spec("a", &program), &reg).unwrap();
+        assert_eq!(reg.counter("snapshot.hit"), 1, "the rewritten entry hits");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A server that loads and unloads for its whole life keeps at most
+    /// [`RETIRED_KEPT`] retired sessions one by one: older ones fold into
+    /// the [`RETIRED_OLDER`] totals, and no request is lost from the
+    /// final report's sums.
+    #[test]
+    fn retired_sessions_are_bounded_and_their_requests_kept() {
+        let dir = scratch("retired-bound");
+        let program = write_program(&dir, "p.minic");
+        let m = manager(4, None, "retired-bound");
+        let reg = Registry::new();
+        let names = ["a", "b", "c", "#retired", "a#3"];
+        let loads = 3000u64;
+        let mut requests = 0;
+        for i in 0..loads {
+            let name = names[i as usize % names.len()];
+            let entry = m.load(&spec(name, &program), &reg).unwrap();
+            entry.requests.fetch_add(i % 5, Ordering::Relaxed);
+            requests += i % 5;
+            if i % 3 != 0 {
+                assert_eq!(m.unload(name), Unload::Unloaded);
+            }
+        }
+        let inner = m.locked();
+        assert_eq!(inner.retired.len(), RETIRED_KEPT);
+        let (live, retired) = (inner.sessions.len(), inner.retired_older.sessions);
+        assert_eq!(retired + (RETIRED_KEPT + live) as u64, loads);
+        drop(inner);
+        let reports = m.final_reports();
+        assert_eq!(reports.len(), live + RETIRED_KEPT + 1);
+        let summed: u64 = reports.values().map(|r| r.counters["requests"]).sum();
+        assert_eq!(summed, requests, "requests survive the folding");
+        // `#retired` is also a session name here, so the totals take the
+        // next free suffix.
+        let older = reports.iter().find(|(_, r)| r.counters.contains_key("sessions"));
+        let (key, older) = older.expect("a totals report");
+        assert!(key.starts_with("#retired#"), "{key}");
+        assert_eq!(older.counters["sessions"], retired);
         std::fs::remove_dir_all(&dir).ok();
     }
 

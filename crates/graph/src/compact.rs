@@ -85,11 +85,8 @@ pub struct CompactGraph {
     pub nodes: NodeGraph,
     /// Timestamp-pair lists (channels); shared lists appear once.
     pub(crate) channels: Vec<Vec<(u64, u64)>>,
-    /// First use slot of each occurrence (one extra entry closes the
-    /// last): use `(occ, k)` is slot `use_base[occ] + k`. Derived from
-    /// `nodes.use_res`.
-    use_base: Vec<u32>,
-    /// Dynamic data edges, one row of `(target, channel)` per use slot.
+    /// Dynamic data edges, one row of `(target, channel)` per use slot
+    /// ([`crate::nodes::UseRows::slot`]).
     pub(crate) data_dyn: EdgeRows,
     /// Dynamic control edges, one row per block-key occurrence.
     pub(crate) cd_dyn: EdgeRows,
@@ -242,19 +239,6 @@ impl RowLists {
         }
         rows.finish()
     }
-}
-
-/// First use slot of each occurrence, plus the total: the row base of
-/// [`CompactGraph`]'s data edges.
-pub(crate) fn use_slot_base(nodes: &NodeGraph) -> Vec<u32> {
-    let mut base = Vec::with_capacity(nodes.num_occs() + 1);
-    let mut next = 0u32;
-    base.push(next);
-    for uses in &nodes.use_res {
-        next += uses.len() as u32;
-        base.push(next);
-    }
-    base
 }
 
 /// A set of dense indices, one bit each — statements of a slice,
@@ -430,13 +414,11 @@ impl CompactGraph {
         events: &[TraceEvent],
     ) -> Self {
         let assigns = segment(paths, &nodes, events);
-        let use_base = use_slot_base(&nodes);
         let mut b = Builder {
             program,
             analysis,
             nodes: &nodes,
-            use_base: &use_base,
-            store: DynStore::new(use_base[nodes.num_occs()] as usize, nodes.num_occs()),
+            store: DynStore::new(nodes.use_res.num_slots(), nodes.num_occs()),
             stats: BuildStats::default(),
             outputs: Vec::new(),
             assigns,
@@ -451,7 +433,7 @@ impl CompactGraph {
         let ts = b.next_ts;
         let last_def = b.mem.last_defs();
         let (store, stats, outputs) = (b.store, b.stats, b.outputs);
-        Self::assemble(nodes, use_base, store, stats, last_def, outputs, ts)
+        Self::assemble(nodes, store, stats, last_def, outputs, ts)
     }
 
     /// Assembles a graph from its built parts, sorting every channel into
@@ -459,7 +441,6 @@ impl CompactGraph {
     /// and laying the store's edge lists out as [`EdgeRows`].
     fn assemble(
         nodes: NodeGraph,
-        use_base: Vec<u32>,
         store: DynStore,
         stats: BuildStats,
         last_def: HashMap<Cell, (u32, u64)>,
@@ -470,7 +451,6 @@ impl CompactGraph {
         let mut g = CompactGraph {
             nodes,
             channels: store.channels,
-            use_base,
             data_dyn: store.data_dyn.into_edge_rows(),
             cd_dyn: store.cd_dyn.into_edge_rows(),
             last_def,
@@ -491,16 +471,15 @@ impl CompactGraph {
     /// **not** re-sort channels: the serialized channel order is the
     /// as-built order, and `sort_unstable_by_key` could permute equal-key
     /// pairs, breaking the round-trip bit-identity that
-    /// [`CompactGraph::first_difference`] pins. `use_base` is
-    /// [`use_slot_base`] of `nodes`, the row base `data_dyn` was laid out
-    /// against. The shortcut memo is derived state (excluded from
+    /// [`CompactGraph::first_difference`] pins. `data_dyn` has one row
+    /// per use slot of `nodes` ([`crate::nodes::UseRows::slot`]). The
+    /// shortcut memo is derived state (excluded from
     /// `first_difference`) and starts empty, as does the walk-memo high-water
     /// mark.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         nodes: NodeGraph,
         channels: Vec<Vec<(u64, u64)>>,
-        use_base: Vec<u32>,
         data_dyn: EdgeRows,
         cd_dyn: EdgeRows,
         last_def: HashMap<Cell, (u32, u64)>,
@@ -512,7 +491,6 @@ impl CompactGraph {
         CompactGraph {
             nodes,
             channels,
-            use_base,
             data_dyn,
             cd_dyn,
             last_def,
@@ -532,7 +510,7 @@ impl CompactGraph {
 
     /// Use slots across all occurrences (the data-edge rows).
     fn num_use_slots(&self) -> u64 {
-        u64::from(self.use_base[self.nodes.num_occs()])
+        self.nodes.use_res.num_slots() as u64
     }
 
     /// Statements in the program (the width of a slice bitmap).
@@ -545,7 +523,7 @@ impl CompactGraph {
     #[inline]
     pub fn dyn_edges(&self, occ: u32, k: u8) -> &[(u32, u32)] {
         debug_assert!((k as usize) < self.nodes.use_res[occ as usize].len(), "use slot {k} of {occ}");
-        self.data_dyn.row(self.use_base[occ as usize] as usize + k as usize)
+        self.data_dyn.row(self.nodes.use_res.slot(occ, k) as usize)
     }
 
     /// Dynamic control edges hanging off block-key occurrence `key`.
@@ -557,12 +535,13 @@ impl CompactGraph {
     /// The non-empty data edge lists keyed by use `(occ, k)`, in key
     /// order (the snapshot's DYN section order).
     pub(crate) fn data_edge_lists(&self) -> impl Iterator<Item = ((u32, u8), &[(u32, u32)])> {
+        let starts = self.nodes.use_res.starts();
         let mut occ = 0;
         self.data_dyn.rows().map(move |(slot, edges)| {
-            while self.use_base[occ + 1] as usize <= slot {
+            while starts[occ + 1] as usize <= slot {
                 occ += 1;
             }
-            ((occ as u32, (slot - self.use_base[occ] as usize) as u8), edges)
+            ((occ as u32, (slot - starts[occ] as usize) as u8), edges)
         })
     }
 
@@ -721,7 +700,7 @@ impl CompactGraph {
             for f in &sc.frontier {
                 let next = match *f {
                     Frontier::Use(o, k) => {
-                        let slot = self.use_base[o as usize] + u32::from(k);
+                        let slot = self.nodes.use_res.slot(o, k);
                         if !memo.insert(num_occs + u64::from(slot), ts) {
                             continue;
                         }
@@ -890,11 +869,9 @@ impl CompactGraph {
             slots: self.nodes.num_occs() as u64,
             ..GraphSize::default()
         };
-        for res in &self.nodes.use_res {
-            for r in res {
-                if matches!(r, UseRes::StaticDu { .. } | UseRes::StaticUu { .. }) {
-                    s.static_edges += 1;
-                }
+        for r in self.nodes.use_res.all() {
+            if matches!(r, UseRes::StaticDu { .. } | UseRes::StaticUu { .. }) {
+                s.static_edges += 1;
             }
         }
         // Control: one static edge per block occurrence, not per statement,
@@ -1128,8 +1105,6 @@ struct Builder<'p> {
     program: &'p Program,
     analysis: &'p ProgramAnalysis,
     nodes: &'p NodeGraph,
-    /// [`use_slot_base`] of `nodes`.
-    use_base: &'p [u32],
     store: DynStore,
     stats: BuildStats,
     outputs: Vec<(u32, u64)>,
@@ -1331,7 +1306,7 @@ fn top(frames: &mut [FrameInfo], frame: FrameId) -> &mut FrameInfo {
 
 impl Builder<'_> {
     fn record_data_pair(&mut self, occ: u32, k: u8, target: u32, td: u64, tu: u64) {
-        let slot = self.use_base[occ as usize] as usize + usize::from(k);
+        let slot = self.nodes.use_res.slot(occ, k) as usize;
         self.store.record_data_pair(self.nodes, &mut self.stats, slot, occ, k, target, td, tu);
     }
 
@@ -1348,7 +1323,7 @@ impl Builder<'_> {
             UseShape::Mem => {
                 let c = cell.expect("memory use has a traced cell");
                 let actual = self.mem.get(c);
-                let slot = self.use_base[occ as usize] + u32::from(k);
+                let slot = self.nodes.use_res.slot(occ, k);
                 fi.memo.set((slot - fi.state.use_slot0) as usize, ts, actual);
                 (actual, true)
             }
@@ -1372,7 +1347,7 @@ impl Builder<'_> {
                 if !is_mem {
                     self.stats.save(attr);
                 } else {
-                    let slot = self.use_base[target as usize] + u32::from(use_idx);
+                    let slot = self.nodes.use_res.slot(target, use_idx);
                     let expected = fi.memo.get((slot - fi.state.use_slot0) as usize, ts);
                     if actual == expected {
                         self.stats.save(attr);
@@ -1422,7 +1397,7 @@ impl ReplayVisitor for Builder<'_> {
         let fi = top(&mut self.frames, frame);
         if assign.start {
             fi.state.ts = self.next_ts;
-            fi.state.use_slot0 = self.use_base[node_base as usize];
+            fi.state.use_slot0 = self.nodes.use_res.starts()[node_base as usize];
             self.next_ts += 1;
         }
         fi.state.block_occ_base = node_base + slot_off;

@@ -27,7 +27,7 @@ pub use compact::{CompactGraph, TraversalStats};
 pub use dot::{compact_to_dot, slice_to_dot};
 pub use paged::{PagedGraph, PagedStats};
 pub use full::FullGraph;
-pub use nodes::{CdRes, NodeGraph, NodeKind, OptConfig, SpecPlan, SpecPolicy, UseRes};
+pub use nodes::{CdRes, NodeGraph, NodeKind, OptConfig, SpecPlan, SpecPolicy, UseRes, UseRows};
 pub use segment::{segment, Assign};
 pub use size::{BuildStats, GraphSize, OptKind};
 pub use snapshot::{Snapshot, SnapshotError};

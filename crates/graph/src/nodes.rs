@@ -152,6 +152,86 @@ pub enum CdRes {
     },
 }
 
+/// Per-occurrence static use resolutions as compressed rows: occurrence
+/// `o`'s resolutions, one per use site, are `res[start[o]..start[o + 1]]`.
+/// The whole table is two allocations however many occurrences there
+/// are, and `start` doubles as the use-slot numbering: use `k` of `o` is
+/// slot `start[o] + k`.
+#[derive(Clone, Debug)]
+pub struct UseRows {
+    start: Vec<u32>,
+    res: Vec<UseRes>,
+}
+
+impl Default for UseRows {
+    fn default() -> Self {
+        UseRows { start: vec![0], res: Vec::new() }
+    }
+}
+
+impl UseRows {
+    /// An empty table with room for `occs` rows of `uses` resolutions in
+    /// all.
+    pub fn with_capacity(occs: usize, uses: usize) -> Self {
+        let mut start = Vec::with_capacity(occs + 1);
+        start.push(0);
+        UseRows { start, res: Vec::with_capacity(uses) }
+    }
+
+    /// Appends the next occurrence's row.
+    pub fn push(&mut self, row: impl IntoIterator<Item = UseRes>) {
+        self.res.extend(row);
+        self.start.push(self.res.len() as u32);
+    }
+
+    /// Number of rows (occurrences).
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The rows in occurrence order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[UseRes]> + '_ {
+        self.start.windows(2).map(|w| &self.res[w[0] as usize..w[1] as usize])
+    }
+
+    /// Every resolution, rows concatenated.
+    pub fn all(&self) -> &[UseRes] {
+        &self.res
+    }
+
+    /// Use `k` of occurrence `occ` as a use slot: its index in
+    /// [`Self::all`].
+    #[inline]
+    pub fn slot(&self, occ: u32, k: u8) -> u32 {
+        self.start[occ as usize] + u32::from(k)
+    }
+
+    /// Use slots across all rows.
+    pub fn num_slots(&self) -> usize {
+        self.res.len()
+    }
+
+    /// The first use slot of each occurrence, plus one entry closing the
+    /// last row.
+    pub fn starts(&self) -> &[u32] {
+        &self.start
+    }
+}
+
+impl std::ops::Index<usize> for UseRows {
+    type Output = [UseRes];
+
+    #[inline]
+    fn index(&self, occ: usize) -> &[UseRes] {
+        &self.res[self.start[occ] as usize..self.start[occ + 1] as usize]
+    }
+}
+
 /// Precomputed per-statement def/use shapes (cheap to consult at build).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UseShape {
@@ -186,7 +266,7 @@ pub struct NodeGraph {
     /// the label-sharing plan).
     pub occ_block_term: Vec<StmtId>,
     /// Per occurrence: static use resolutions, one per use site.
-    pub use_res: Vec<Vec<UseRes>>,
+    pub use_res: UseRows,
     /// Per occurrence: static control resolution.
     pub cd_res: Vec<CdRes>,
     /// Per statement: use shapes (canonical order).
@@ -268,7 +348,7 @@ impl NodeGraph {
             occ_node: Vec::new(),
             occ_block_key: Vec::new(),
             occ_block_term: Vec::new(),
-            use_res: Vec::new(),
+            use_res: UseRows::default(),
             cd_res: Vec::new(),
             stmt_shapes: Vec::new(),
             share_data: HashMap::new(),
@@ -302,7 +382,8 @@ impl NodeGraph {
                 on_path
             })
             .collect();
-        let mut use_res = Vec::with_capacity(g.num_occs());
+        let uses = g.occ_stmt.iter().map(|s| g.stmt_shapes[s.index()].len()).sum();
+        let mut use_res = UseRows::with_capacity(g.num_occs(), uses);
         let mut cd_res = Vec::with_capacity(g.num_occs());
         for ni in 0..g.nodes.len() as u32 {
             g.resolve_node(program, analysis, config, ni, &specialized, &mut use_res, &mut cd_res);
@@ -397,7 +478,7 @@ impl NodeGraph {
         config: &OptConfig,
         ni: u32,
         specialized: &[Vec<bool>],
-        use_res: &mut Vec<Vec<UseRes>>,
+        use_res: &mut UseRows,
         cd_res: &mut Vec<CdRes>,
     ) {
         let node = &self.nodes[ni as usize];
@@ -421,15 +502,11 @@ impl NodeGraph {
         }
         for flat in 0..node.stmts.len() as u32 {
             let sid = node.stmts[flat as usize];
-            let res = self.stmt_shapes[sid.index()]
-                .iter()
-                .map(|shape| {
-                    self.resolve_use(
-                        program, analysis, config, node, base, &flat_block, flat, shape, is_path,
-                    )
-                })
-                .collect();
-            use_res.push(res);
+            use_res.push(self.stmt_shapes[sid.index()].iter().map(|shape| {
+                self.resolve_use(
+                    program, analysis, config, node, base, &flat_block, flat, shape, is_path,
+                )
+            }));
         }
     }
 

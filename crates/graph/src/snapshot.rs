@@ -18,15 +18,23 @@
 //! obs-JSON precedent). Layout:
 //!
 //! ```text
-//! magic   8 bytes  b"DSNAPV1\0"
-//! version u32      FORMAT_VERSION
+//! magic   8 bytes  b"DSNAPV1\0"  (a fixed file tag; the version is the next field)
+//! version u32      FORMAT_VERSION (2)
 //! digest  u64      FNV-1a over (source, input, config) — provenance key
 //! then sections, in fixed order, each framed as:
 //!   tag      u8
 //!   len      u64   payload length in bytes
 //!   payload  len bytes
-//!   checksum u64   FNV-1a of the payload
+//!   checksum u64   checksum(payload)
 //! ```
+//!
+//! Version 2 changed only the section checksum, from byte-serial FNV-1a
+//! to [`checksum`], a four-lane word-at-a-time sum; the payloads are the
+//! same bytes version 1 wrote. A version-1 file decodes to
+//! [`SnapshotError::UnsupportedVersion`], which the session manager's
+//! digest-keyed cache treats as a miss and overwrites. FNV-1a remains
+//! only in [`digest`], whose value names cache files, so cache file
+//! names did not change.
 //!
 //! Sections: `source`, `input`, `config`, `nodes`, `dyn` (channels +
 //! dynamic edge lists), `criteria` (last-def map, outputs, execution
@@ -39,9 +47,10 @@
 //! # Integrity
 //!
 //! Every decode failure is a typed [`SnapshotError`] — truncated input,
-//! checksum mismatch, unknown enum tag, length prefix past the section
-//! end, inconsistent arena sizes — never a panic and never a silently
-//! wrong graph. The decoder re-derives the provenance digest from the
+//! checksum mismatch (a change to any single 8-byte word of a payload is
+//! always caught, see [`checksum`]), unknown enum tag, length prefix past
+//! the section end, inconsistent arena sizes — never a panic and never a
+//! silently wrong graph. The decoder re-derives the provenance digest from the
 //! decoded source/input/config and refuses a file whose header digest
 //! disagrees. Round-trip bit-identity (`encode` → `decode` →
 //! [`CompactGraph::first_difference`] `== None`) is pinned by the
@@ -52,21 +61,23 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use dynslice_ir::{BlockId, FuncId, StmtId, VarId};
 use dynslice_runtime::Cell;
 
-use crate::compact::{use_slot_base, CompactGraph, EdgeRows, EdgeRowsBuilder, NONE_TARGET};
-use crate::nodes::{CdRes, NodeData, NodeGraph, NodeKind, OptConfig, SpecPolicy, UseRes, UseShape};
+use crate::compact::{CompactGraph, EdgeRows, EdgeRowsBuilder, NONE_TARGET};
+use crate::nodes::{
+    CdRes, NodeData, NodeGraph, NodeKind, OptConfig, SpecPolicy, UseRes, UseRows, UseShape,
+};
 use crate::size::{BuildStats, OptKind};
 
 /// First 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DSNAPV1\0";
 
-/// Bumped on any breaking change to the section layout.
-pub const FORMAT_VERSION: u32 = 1;
+/// Bumped on any breaking change to the file layout or its checksums.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot failed to decode. Every variant is a recoverable,
 /// typed condition: corruption can never panic or produce a wrong graph.
@@ -153,7 +164,9 @@ impl From<SnapshotError> for io::Error {
 /// the provenance that keys cache validity.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// The MiniC source the graph was built from (recompiled on load).
+    /// The MiniC source the graph was built from. It keys provenance; a
+    /// session restore does not recompile it, because graph-backed
+    /// backends read only the graph.
     pub source: String,
     /// The input tape of the traced run.
     pub input: Vec<i64>,
@@ -186,6 +199,55 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The integrity checksum of one section payload (format version 2).
+///
+/// `bytes` is read as little-endian 64-bit words, the last one padded
+/// with zero bytes. Word `i` feeds lane `i % 4`, so the four lanes'
+/// multiply chains run side by side instead of one byte at a time. A lane
+/// step is `lane = rotl(lane + word * P2, 31) * P1` with odd `P1` and
+/// `P2`: for a fixed word it is a bijection of the lane, and for a fixed
+/// lane it is injective in the word. The lanes are then folded into one
+/// word, each through a bijection of the running value, together with the
+/// byte length, and the result is avalanched by another bijection. So
+/// two inputs of the same length that differ in exactly one word always
+/// have different checksums; a length change is caught by the length
+/// term. Multi-word changes are caught with the usual 2⁻⁶⁴ odds.
+///
+/// Not a cryptographic hash: it detects accidental corruption, not a
+/// forger who rewrites the checksum word too.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    fn step(lane: u64, word: u64) -> u64 {
+        lane.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+    }
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = bytes.chunks_exact(32);
+    for b in &mut blocks {
+        lanes[0] = step(lanes[0], word(&b[..8]));
+        lanes[1] = step(lanes[1], word(&b[8..16]));
+        lanes[2] = step(lanes[2], word(&b[16..24]));
+        lanes[3] = step(lanes[3], word(&b[24..]));
+    }
+    for (i, w) in blocks.remainder().chunks(8).enumerate() {
+        let mut padded = [0u8; 8];
+        padded[..w.len()].copy_from_slice(w);
+        lanes[i] = step(lanes[i], u64::from_le_bytes(padded));
+    }
+    let mut h = (bytes.len() as u64).wrapping_mul(P3);
+    for lane in lanes {
+        h = (h ^ step(0, lane)).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 // ---------------------------------------------------------------------
@@ -298,7 +360,7 @@ fn encode_nodes(buf: &mut Vec<u8>, n: &NodeGraph) {
         put_u32(buf, s.0);
     }
     put_len(buf, n.use_res.len());
-    for uses in &n.use_res {
+    for uses in n.use_res.iter() {
         put_len(buf, uses.len());
         for u in uses {
             match *u {
@@ -391,6 +453,7 @@ fn put_dyn(
     put_len(buf, channels.len());
     for ch in channels {
         put_len(buf, ch.len());
+        buf.reserve(ch.len() * 16);
         for &(a, b) in ch {
             put_u64(buf, a);
             put_u64(buf, b);
@@ -449,7 +512,7 @@ fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     put_u8(out, tag);
     put_len(out, payload.len());
     out.extend_from_slice(payload);
-    put_u64(out, fnv1a(payload));
+    put_u64(out, checksum(payload));
 }
 
 const TAG_SOURCE: u8 = 1;
@@ -511,26 +574,26 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
 /// against the bytes actually present before any allocation, so a
 /// corrupted length can neither panic nor balloon memory.
 struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not read yet.
+    rest: &'a [u8],
     section: &'static str,
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Reader { buf, pos: 0, section }
+        Reader { rest: buf, section }
     }
 
     fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
+        if self.rest.len() < n {
             return Err(SnapshotError::Truncated { section: self.section });
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let (s, rest) = self.rest.split_at(n);
+        self.rest = rest;
         Ok(s)
     }
 
@@ -548,6 +611,15 @@ impl<'a> Reader<'a> {
 
     fn i64(&mut self) -> Result<i64, SnapshotError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// A length prefix and the `len × elem_bytes` bytes of the
+    /// fixed-width elements after it, for decoding in one pass over
+    /// `chunks_exact(elem_bytes)`.
+    fn array(&mut self, elem_bytes: usize) -> Result<&'a [u8], SnapshotError> {
+        let n = self.len(elem_bytes)?;
+        // `len` bounds `n` by the bytes left, so the product fits.
+        self.take(n * elem_bytes)
     }
 
     /// A collection-length prefix. `min_elem_bytes` is the smallest
@@ -614,13 +686,16 @@ fn decode_config(r: &mut Reader<'_>) -> Result<OptConfig, SnapshotError> {
     Ok(OptConfig { local_du, use_use, spec, share_data, cd_delta, cd_local, share_cd })
 }
 
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("4 bytes"))
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8 bytes"))
+}
+
 fn decode_u32_vec(r: &mut Reader<'_>) -> Result<Vec<u32>, SnapshotError> {
-    let n = r.len(4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u32()?);
-    }
-    Ok(out)
+    Ok(r.array(4)?.chunks_exact(4).map(le_u32).collect())
 }
 
 fn decode_nodes(r: &mut Reader<'_>) -> Result<NodeGraph, SnapshotError> {
@@ -657,10 +732,11 @@ fn decode_nodes(r: &mut Reader<'_>) -> Result<NodeGraph, SnapshotError> {
     let occ_block_key = decode_u32_vec(r)?;
     let occ_block_term: Vec<StmtId> = decode_u32_vec(r)?.into_iter().map(StmtId).collect();
     let num_use = r.len(8)?;
-    let mut use_res = Vec::with_capacity(num_use);
+    let mut use_res = UseRows::with_capacity(num_use, num_use);
+    let mut uses = Vec::new();
     for _ in 0..num_use {
         let n = r.len(1)?;
-        let mut uses = Vec::with_capacity(n);
+        uses.clear();
         for _ in 0..n {
             uses.push(match r.u8()? {
                 0 => UseRes::NoDep,
@@ -679,7 +755,7 @@ fn decode_nodes(r: &mut Reader<'_>) -> Result<NodeGraph, SnapshotError> {
                 t => return Err(r.corrupt(format!("unknown UseRes tag {t}"))),
             });
         }
-        use_res.push(uses);
+        use_res.push(uses.drain(..));
     }
     let num_cd = r.len(1)?;
     let mut cd_res = Vec::with_capacity(num_cd);
@@ -779,8 +855,8 @@ fn decode_nodes(r: &mut Reader<'_>) -> Result<NodeGraph, SnapshotError> {
     Ok(graph)
 }
 
-/// The channels, the use-slot row base and the data and control edge rows.
-type DynArenas = (Vec<Vec<(u64, u64)>>, Vec<u32>, EdgeRows, EdgeRows);
+/// The channels and the data and control edge rows.
+type DynArenas = (Vec<Vec<(u64, u64)>>, EdgeRows, EdgeRows);
 
 /// Decodes the DYN section straight into edge rows. Its keys were written
 /// in ascending order; a key out of order, repeated, naming an occurrence
@@ -790,14 +866,8 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
     let num_channels = r.len(8)?;
     let mut channels = Vec::with_capacity(num_channels);
     for _ in 0..num_channels {
-        let n = r.len(16)?;
-        let mut ch = Vec::with_capacity(n);
-        for _ in 0..n {
-            let a = r.u64()?;
-            let b = r.u64()?;
-            ch.push((a, b));
-        }
-        channels.push(ch);
+        let pairs = r.array(16)?.chunks_exact(16);
+        channels.push(pairs.map(|p| (le_u64(&p[..8]), le_u64(&p[8..]))).collect());
     }
     let chan_count = channels.len() as u64;
     let num_occs = nodes.num_occs();
@@ -805,18 +875,17 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
     let mut edges = Vec::new();
     // One key's edge list, into `edges`.
     let mut decode_edges = |r: &mut Reader<'_>, key: &dyn fmt::Debug, edges: &mut Vec<_>| {
-        let n = r.len(8)?;
-        if n == 0 {
+        let raw = r.array(8)?;
+        if raw.is_empty() {
             return Err(r.corrupt(format!("edge key {key:?} has an empty edge list")));
         }
-        total_edges += n;
+        total_edges += raw.len() / 8;
         if total_edges > u32::MAX as usize {
             return Err(r.corrupt(format!("{total_edges} edges overflow the u32 row offsets")));
         }
         edges.clear();
-        for _ in 0..n {
-            let target = r.u32()?;
-            let chan = r.u32()?;
+        for e in raw.chunks_exact(8) {
+            let (target, chan) = (le_u32(&e[..4]), le_u32(&e[4..]));
             if chan as u64 >= chan_count {
                 return Err(r.corrupt(format!("edge references channel {chan} of {chan_count}")));
             }
@@ -827,9 +896,8 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
         }
         Ok(())
     };
-    let use_base = use_slot_base(nodes);
     let num_data = r.len(13)?;
-    let mut data_dyn = EdgeRowsBuilder::new(use_base[num_occs] as usize);
+    let mut data_dyn = EdgeRowsBuilder::new(nodes.use_res.num_slots());
     let mut prev = None;
     for _ in 0..num_data {
         let key = (r.u32()?, r.u8()?);
@@ -850,7 +918,7 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
             )));
         }
         decode_edges(r, &key, &mut edges)?;
-        data_dyn.push(use_base[occ as usize] as usize + k as usize, &edges);
+        data_dyn.push(nodes.use_res.slot(occ, k) as usize, &edges);
     }
     let num_cd = r.len(12)?;
     let mut cd_dyn = EdgeRowsBuilder::new(num_occs);
@@ -870,7 +938,7 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
         cd_dyn.push(key as usize, &edges);
     }
     r.done()?;
-    Ok((channels, use_base, data_dyn.finish(), cd_dyn.finish()))
+    Ok((channels, data_dyn.finish(), cd_dyn.finish()))
 }
 
 type Criteria = (HashMap<Cell, (u32, u64)>, Vec<(u32, u64)>, u64);
@@ -962,7 +1030,7 @@ fn section<'a>(
     }
     let payload = &rest[9..9 + len];
     let stored = u64::from_le_bytes(rest[9 + len..9 + len + 8].try_into().expect("8 bytes"));
-    let computed = fnv1a(payload);
+    let computed = checksum(payload);
     if stored != computed {
         return Err(SnapshotError::Corrupt {
             section: name,
@@ -1026,7 +1094,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 
     let payload = section(bytes, &mut pos, TAG_DYN, "dyn")?;
     let mut r = Reader::new(payload, "dyn");
-    let (channels, use_base, data_dyn, cd_dyn) = decode_dyn(&mut r, &nodes)?;
+    let (channels, data_dyn, cd_dyn) = decode_dyn(&mut r, &nodes)?;
 
     let payload = section(bytes, &mut pos, TAG_CRITERIA, "criteria")?;
     let mut r = Reader::new(payload, "criteria");
@@ -1046,7 +1114,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let graph = CompactGraph::from_parts(
         nodes,
         channels,
-        use_base,
         data_dyn,
         cd_dyn,
         last_def,
@@ -1071,15 +1138,15 @@ pub fn save(path: &Path, snap: &Snapshot) -> io::Result<u64> {
 }
 
 /// Reads and decodes the snapshot at `path`, returning it with the byte
-/// count read (for `snapshot.read_bytes` accounting).
+/// count read (for `snapshot.read_bytes` accounting). The file is read
+/// into one buffer sized from its length.
 ///
 /// # Errors
 /// [`SnapshotError::Io`] for filesystem failures, otherwise the decode
 /// errors of [`decode`].
 pub fn load(path: &Path) -> Result<(Snapshot, u64), SnapshotError> {
     dynslice_faults::hit("snapshot_read").map_err(io::Error::other)?;
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+    let bytes = std::fs::read(path)?;
     let n = bytes.len() as u64;
     let snap = decode(&bytes)?;
     Ok((snap, n))
@@ -1087,6 +1154,8 @@ pub fn load(path: &Path) -> Result<(Snapshot, u64), SnapshotError> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::build_compact;
     use dynslice_analysis::ProgramAnalysis;
@@ -1259,6 +1328,80 @@ mod tests {
         }
     }
 
+    /// The `(tag, payload start, payload length)` of each section of
+    /// `bytes`, in file order.
+    fn sections(bytes: &[u8]) -> Vec<(u8, usize, usize)> {
+        let mut out = Vec::new();
+        let mut pos = MAGIC.len() + 12;
+        while pos < bytes.len() {
+            let len = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap()) as usize;
+            out.push((bytes[pos], pos + 9, len));
+            pos += 9 + len + 8;
+        }
+        out
+    }
+
+    /// Every single-bit flip anywhere in a section payload or its
+    /// checksum word is a checksum mismatch in that section: one changed
+    /// word can never produce the stored checksum (see [`checksum`]).
+    #[test]
+    fn every_single_bit_flip_of_a_payload_or_checksum_is_caught() {
+        let bytes = encode(&sample());
+        let names = ["source", "input", "config", "nodes", "dyn", "criteria", "stats"];
+        let sections = sections(&bytes);
+        assert_eq!(sections.len(), names.len());
+        let mut flipped = bytes.clone();
+        for (&(tag, start, len), &name) in sections.iter().zip(&names) {
+            assert_eq!(tag as usize, names.iter().position(|&n| n == name).unwrap() + 1);
+            for i in start..start + len + 8 {
+                for bit in 0..8 {
+                    flipped[i] ^= 1 << bit;
+                    match decode(&flipped) {
+                        Err(SnapshotError::Corrupt { section, detail })
+                            if section == name && detail.contains("checksum mismatch") => {}
+                        other => panic!("flip of bit {bit} of byte {i} ({name}): got {other:?}"),
+                    }
+                    flipped[i] ^= 1 << bit;
+                }
+            }
+        }
+        assert_eq!(flipped, bytes);
+    }
+
+    /// The single-word guarantee of [`checksum`], checked exhaustively on
+    /// short inputs: every length up to five blocks (so every tail shape),
+    /// every byte position and several changes of it; and zero-filled
+    /// inputs of different lengths differ.
+    #[test]
+    fn checksum_catches_every_single_word_change() {
+        let base: Vec<u8> = (0..160u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=base.len() {
+            let data = &base[..len];
+            let sum = checksum(data);
+            let mut changed = data.to_vec();
+            for i in 0..len {
+                for x in [0x01, 0x80, 0xff, 0x5a] {
+                    changed[i] ^= x;
+                    assert_ne!(checksum(&changed), sum, "len {len}, byte {i}, xor {x:#x}");
+                    changed[i] ^= x;
+                }
+            }
+        }
+        let zeros = [0u8; 64];
+        let sums: BTreeSet<u64> = (0..=zeros.len()).map(|n| checksum(&zeros[..n])).collect();
+        assert_eq!(sums.len(), zeros.len() + 1, "length is part of the checksum");
+    }
+
+    /// A version-1 file (FNV-1a section checksums) is refused by its
+    /// version field before any section is read, so callers can treat it
+    /// as stale rather than corrupt.
+    #[test]
+    fn version_one_files_are_unsupported() {
+        let mut bytes = encode(&sample());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(decode(&bytes), Err(SnapshotError::UnsupportedVersion(1))));
+    }
+
     #[test]
     fn header_corruption_yields_typed_errors() {
         let bytes = encode(&sample());
@@ -1273,24 +1416,6 @@ mod tests {
         let mut wrong_digest = bytes.clone();
         wrong_digest[12] ^= 0xff;
         assert!(matches!(decode(&wrong_digest), Err(SnapshotError::DigestMismatch { .. })));
-    }
-
-    #[test]
-    fn payload_corruption_is_detected_by_section_checksums() {
-        let bytes = encode(&sample());
-        // Flip one byte in the middle of the file (inside the big
-        // `nodes`/`dyn` payloads) — the section checksum must catch it.
-        let mut corrupt = bytes.clone();
-        let mid = corrupt.len() / 2;
-        corrupt[mid] ^= 0x01;
-        match decode(&corrupt) {
-            Err(
-                SnapshotError::Corrupt { .. }
-                | SnapshotError::Truncated { .. }
-                | SnapshotError::DigestMismatch { .. },
-            ) => {}
-            other => panic!("corruption must yield a typed error, got {other:?}"),
-        }
     }
 
     #[test]
