@@ -1768,10 +1768,13 @@ fn report_pins_every_server_counter() {
     std::fs::write(&loopy, LOOPY).unwrap();
     let loopy = loopy.to_str().unwrap();
     let report = dir.join("report.json");
-    // The paged slice of LOOPY at one resident page reads thousands of
-    // pages: about a second in a debug build, well past a 500 ms
-    // deadline. The deadline scales with the build, and the slow job's
-    // delay stays twice the deadline so that job still overruns it.
+    // The paged slice of LOOPY at one resident page still misses on about
+    // 6,000 of its 9,000 page lookups: the walk alternates between the
+    // tiles of two long channels, and one page cannot hold both, so the
+    // shared cache thrashes (at two pages it misses about 40 times). An
+    // unoptimized build runs every request several times slower, so the
+    // deadline scales with the build, and the slow job's delay stays twice
+    // the deadline so that job still overruns it.
     let deadline_ms: u64 = if cfg!(debug_assertions) { 5_000 } else { 500 };
     let timeout = deadline_ms.to_string();
     let faults = format!(

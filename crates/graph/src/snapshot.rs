@@ -40,9 +40,11 @@
 //! dynamic edge lists), `criteria` (last-def map, outputs, execution
 //! count), `stats`. Hash maps and edge lists are serialized with keys
 //! sorted, so encoding is deterministic: the same graph always produces
-//! the same bytes. The `dyn` lists decode straight into the graph's
-//! compressed-sparse-row edge arrays, so their key order is checked, not
-//! assumed.
+//! the same bytes. The `dyn` channels decode straight into the graph's
+//! label arena, and its lists into the compressed-sparse-row edge arrays,
+//! so their key order is checked, not assumed. Each list's edges are
+//! written in ascending channel id; the graph probes them longest channel
+//! first, and decoding puts them back in that order.
 //!
 //! # Integrity
 //!
@@ -67,7 +69,7 @@ use std::path::Path;
 use dynslice_ir::{BlockId, FuncId, StmtId, VarId};
 use dynslice_runtime::Cell;
 
-use crate::compact::{CompactGraph, EdgeRows, EdgeRowsBuilder, NONE_TARGET};
+use crate::compact::{CompactGraph, EdgeRows, EdgeRowsBuilder, Labels, NONE_TARGET};
 use crate::nodes::{
     CdRes, NodeData, NodeGraph, NodeKind, OptConfig, SpecPolicy, UseRes, UseRows, UseShape,
 };
@@ -432,31 +434,40 @@ type EdgeList<'g, K> = (K, &'g [(u32, u32)]);
 fn encode_dyn(buf: &mut Vec<u8>, g: &CompactGraph) {
     let data: Vec<_> = g.data_edge_lists().collect();
     let cd: Vec<_> = g.cd_dyn.rows().map(|(key, edges)| (key as u32, edges)).collect();
-    put_dyn(buf, &g.channels, &data, &cd);
+    put_dyn(buf, &g.labels, &data, &cd);
 }
 
 /// Writes a DYN payload: the channels, then the data and control edge
 /// lists in the order given (ascending keys, as the decoder requires).
+/// Each list's edges are written in ascending channel id (then target),
+/// whatever order the graph probes them in; the decoder puts them back in
+/// probe order.
 fn put_dyn(
     buf: &mut Vec<u8>,
-    channels: &[Vec<(u64, u64)>],
+    labels: &Labels,
     data: &[EdgeList<'_, (u32, u8)>],
     cd: &[EdgeList<'_, u32>],
 ) {
-    let put_edges = |buf: &mut Vec<u8>, edges: &[(u32, u32)]| {
+    let mut sorted = Vec::new();
+    let mut put_edges = |buf: &mut Vec<u8>, edges: &[(u32, u32)]| {
+        sorted.clear();
+        sorted.extend(edges.iter().map(|&(target, chan)| (chan, target)));
+        sorted.sort_unstable();
         put_len(buf, edges.len());
-        for &(target, chan) in edges {
+        for &(chan, target) in &sorted {
             put_u32(buf, target);
             put_u32(buf, chan);
         }
     };
-    put_len(buf, channels.len());
-    for ch in channels {
-        put_len(buf, ch.len());
-        buf.reserve(ch.len() * 16);
-        for &(a, b) in ch {
-            put_u64(buf, a);
-            put_u64(buf, b);
+    put_len(buf, labels.num_channels());
+    for chan in 0..labels.num_channels() as u32 {
+        let (a, b) = labels.bounds(chan);
+        let len = (b - a) as usize;
+        put_len(buf, len);
+        buf.reserve(len * 16);
+        for (td, tu) in labels.channel(chan) {
+            put_u64(buf, td);
+            put_u64(buf, tu);
         }
     }
     put_len(buf, data.len());
@@ -855,8 +866,8 @@ fn decode_nodes(r: &mut Reader<'_>) -> Result<NodeGraph, SnapshotError> {
     Ok(graph)
 }
 
-/// The channels and the data and control edge rows.
-type DynArenas = (Vec<Vec<(u64, u64)>>, EdgeRows, EdgeRows);
+/// The label arena and the data and control edge rows.
+type DynArenas = (Labels, EdgeRows, EdgeRows);
 
 /// Decodes the DYN section straight into edge rows. Its keys were written
 /// in ascending order; a key out of order, repeated, naming an occurrence
@@ -864,12 +875,14 @@ type DynArenas = (Vec<Vec<(u64, u64)>>, EdgeRows, EdgeRows);
 /// occurrence `nodes` lacks, is corruption.
 fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, SnapshotError> {
     let num_channels = r.len(8)?;
-    let mut channels = Vec::with_capacity(num_channels);
-    for _ in 0..num_channels {
-        let pairs = r.array(16)?.chunks_exact(16);
-        channels.push(pairs.map(|p| (le_u64(&p[..8]), le_u64(&p[8..]))).collect());
+    let channels = (0..num_channels).map(|_| r.array(16)).collect::<Result<Vec<_>, _>>()?;
+    let mut labels =
+        Labels::with_capacity(num_channels, channels.iter().map(|c| c.len() / 16).sum());
+    for pairs in channels {
+        let pairs = pairs.chunks_exact(16);
+        labels.push_channel(pairs.clone().map(|p| le_u64(&p[8..])), pairs.map(|p| le_u64(&p[..8])));
     }
-    let chan_count = channels.len() as u64;
+    let chan_count = num_channels as u64;
     let num_occs = nodes.num_occs();
     let mut total_edges = 0usize;
     let mut edges = Vec::new();
@@ -897,7 +910,7 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
         Ok(())
     };
     let num_data = r.len(13)?;
-    let mut data_dyn = EdgeRowsBuilder::new(nodes.use_res.num_slots());
+    let mut data_dyn = EdgeRowsBuilder::new(nodes.use_res.num_slots(), &labels);
     let mut prev = None;
     for _ in 0..num_data {
         let key = (r.u32()?, r.u8()?);
@@ -921,7 +934,7 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
         data_dyn.push(nodes.use_res.slot(occ, k) as usize, &edges);
     }
     let num_cd = r.len(12)?;
-    let mut cd_dyn = EdgeRowsBuilder::new(num_occs);
+    let mut cd_dyn = EdgeRowsBuilder::new(num_occs, &labels);
     let mut prev = None;
     for _ in 0..num_cd {
         let key = r.u32()?;
@@ -938,7 +951,8 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
         cd_dyn.push(key as usize, &edges);
     }
     r.done()?;
-    Ok((channels, data_dyn.finish(), cd_dyn.finish()))
+    let (data_dyn, cd_dyn) = (data_dyn.finish(), cd_dyn.finish());
+    Ok((labels, data_dyn, cd_dyn))
 }
 
 type Criteria = (HashMap<Cell, (u32, u64)>, Vec<(u32, u64)>, u64);
@@ -1094,7 +1108,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 
     let payload = section(bytes, &mut pos, TAG_DYN, "dyn")?;
     let mut r = Reader::new(payload, "dyn");
-    let (channels, data_dyn, cd_dyn) = decode_dyn(&mut r, &nodes)?;
+    let (labels, data_dyn, cd_dyn) = decode_dyn(&mut r, &nodes)?;
 
     let payload = section(bytes, &mut pos, TAG_CRITERIA, "criteria")?;
     let mut r = Reader::new(payload, "criteria");
@@ -1113,7 +1127,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 
     let graph = CompactGraph::from_parts(
         nodes,
-        channels,
+        labels,
         data_dyn,
         cd_dyn,
         last_def,
@@ -1191,6 +1205,59 @@ mod tests {
         assert_eq!(encode(&back), bytes);
     }
 
+    /// A graph probes each edge row longest channel first, but the DYN
+    /// section lists every row in ascending channel id, so its bytes do
+    /// not depend on the probe order: on a graph where the two orders
+    /// differ, decoding restores the probe order and re-encoding gives the
+    /// same bytes.
+    #[test]
+    fn rows_are_written_by_channel_id_and_read_back_in_probe_order() {
+        let source = "global int a[1];
+             fn main() {
+               int i;
+               for (i = 0; i < 300; i = i + 1) { a[0] = a[0] + i; }
+               print a[0];
+             }"
+        .to_string();
+        let config = OptConfig::default();
+        let p = dynslice_lang::compile(&source).expect("compiles");
+        let a = ProgramAnalysis::compute(&p);
+        let t = run(&p, VmOptions::default());
+        let graph = build_compact(&p, &a, &t.events, &config);
+        let by_id = |row: &[(u32, u32)]| row.windows(2).all(|w| w[0].1 < w[1].1);
+        let rows = || graph.data_dyn.rows().chain(graph.cd_dyn.rows());
+        assert!(rows().any(|(_, row)| !by_id(row)), "probe order is id order in every row");
+
+        let mut payload = Vec::new();
+        encode_dyn(&mut payload, &graph);
+        let mut r = Reader::new(&payload, "dyn");
+        for _ in 0..r.len(8).unwrap() {
+            r.array(16).unwrap();
+        }
+        let mut written = 0;
+        for key_bytes in [5, 4] {
+            for _ in 0..r.len(13).unwrap() {
+                r.take(key_bytes).unwrap();
+                let edges: Vec<_> = r
+                    .array(8)
+                    .unwrap()
+                    .chunks_exact(8)
+                    .map(|e| (le_u32(&e[..4]), le_u32(&e[4..])))
+                    .collect();
+                assert!(by_id(&edges), "written out of channel order: {edges:?}");
+                written += 1;
+            }
+        }
+        r.done().unwrap();
+        assert_eq!(written, rows().count());
+
+        let snap = Snapshot { source, input: Vec::new(), config, graph };
+        let bytes = encode(&snap);
+        let back = decode(&bytes).expect("round trip");
+        assert_eq!(snap.graph.first_difference(&back.graph), None);
+        assert_eq!(encode(&back), bytes);
+    }
+
     /// `snap` encoded with its DYN section replaced by `data` and `cd`,
     /// re-checksummed, so only the decoder's own checks can object.
     fn with_dyn_lists(
@@ -1199,7 +1266,7 @@ mod tests {
         cd: &[EdgeList<'_, u32>],
     ) -> Vec<u8> {
         let mut payload = Vec::new();
-        put_dyn(&mut payload, &snap.graph.channels, data, cd);
+        put_dyn(&mut payload, &snap.graph.labels, data, cd);
         with_section(&encode(snap), TAG_DYN, &payload)
     }
 

@@ -241,3 +241,41 @@ fn suite_builds_match_pinned_digests() {
         assert_eq!(digest, pinned, "{label}: snapshot payloads moved");
     }
 }
+
+/// The probe-order invariant: no two edges of one dynamic edge row hold
+/// the same use timestamp, on every suite program under the three
+/// configurations the digests above pin. A resolution takes the first
+/// channel of its row that holds the timestamp and rows are probed
+/// longest channel first, so this is what keeps that order from changing
+/// any answer. (`tests/differential.rs` checks it on random programs.)
+#[test]
+fn edge_rows_never_share_a_use_timestamp() {
+    use dynslice::build_compact;
+    let no_spec = OptConfig { spec: SpecPolicy::None, ..Default::default() };
+    for w in workloads::suite() {
+        let src = w.source(0.2);
+        let session = Session::compile(&src).unwrap();
+        let trace = session.run_with(VmOptions { input: w.input.clone(), ..Default::default() });
+        assert!(!trace.truncated, "{}", w.name);
+        for config in [OptConfig::default(), OptConfig::none(), no_spec.clone()] {
+            let graph = build_compact(&session.program, &session.analysis, &trace.events, &config);
+            assert_eq!(graph.shared_row_timestamps(), 0, "{} {config:?}", w.name);
+        }
+    }
+}
+
+/// Longest-channel-first probing, pinned on one deep query: the first of
+/// 32 picked cells of 300.twolf at scale 0.3, one of perfbench's
+/// deep-slice criteria. Probing each row in channel-discovery order, its
+/// slice made 81,367 label searches; longest first, 63,936.
+#[test]
+fn deep_twolf_query_label_searches_are_bounded() {
+    let w = workloads::by_name("300.twolf").unwrap();
+    let session = Session::compile(&w.source(0.3)).unwrap();
+    let trace = session.run_with(VmOptions { input: w.input.clone(), ..Default::default() });
+    let opt = session.opt(&trace, &OptConfig::default());
+    let cell = pick_cells(opt.graph().last_def.keys().copied(), 32)[0];
+    let (slice, stats) = opt.slice_with_stats(&Criterion::CellLastDef(cell)).unwrap();
+    assert_eq!(slice.stmts.len(), 789, "a different query");
+    assert!(stats.label_searches <= 64_000, "{} label searches", stats.label_searches);
+}
