@@ -115,6 +115,27 @@ pub struct CompactGraph {
     memo_high_water: AtomicUsize,
 }
 
+/// The row a dynamic edge hangs off.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum EdgeRow {
+    /// Use slot `k` of occurrence `occ`: a data edge.
+    Use(u32, u8),
+    /// The block whose key occurrence this is: a control edge.
+    Control(u32),
+}
+
+/// One dynamic edge and its labels ([`CompactGraph::edge_labels`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DynEdge {
+    /// The row the edge hangs off.
+    pub row: EdgeRow,
+    /// The defining (data) or parent (control) occurrence; `u32::MAX` for
+    /// "no definition".
+    pub target: u32,
+    /// The edge's `(use timestamp, definition timestamp)` pairs, ascending.
+    pub labels: Vec<(u64, u64)>,
+}
+
 /// Where a slicing traversal finds dynamic labels: channel `chan`'s
 /// timestamp pairs, sorted by use timestamp. The resident channels never
 /// fail; the paged hybrid's page cache fails with an I/O error.
@@ -665,6 +686,29 @@ impl CompactGraph {
             }
             ((occ as u32, (slot - starts[occ] as usize) as u8), edges)
         })
+    }
+
+    /// Every dynamic edge with its labels, in a form that does not depend
+    /// on how the labels are stored: data rows by ascending use `(occ, k)`,
+    /// then control rows by ascending block key; within a row, edges by
+    /// target; each edge's `(tu, td)` pairs ascending. A label shared
+    /// between edges is listed under each of them. The columns must be
+    /// resident (not drained).
+    pub fn edge_labels(&self) -> Vec<DynEdge> {
+        let data = self.data_edge_lists().map(|((occ, k), edges)| (EdgeRow::Use(occ, k), edges));
+        let cd = self.cd_dyn.rows().map(|(key, edges)| (EdgeRow::Control(key as u32), edges));
+        let mut out = Vec::new();
+        for (row, edges) in data.chain(cd) {
+            let first = out.len();
+            for &(target, chan) in edges {
+                let mut labels: Vec<(u64, u64)> =
+                    self.labels.channel(chan).map(|(td, tu)| (tu, td)).collect();
+                labels.sort_unstable();
+                out.push(DynEdge { row, target, labels });
+            }
+            out[first..].sort_unstable_by_key(|e| e.target);
+        }
+        out
     }
 
     /// Takes the label columns `(tu, td)` out of the graph, for spilling

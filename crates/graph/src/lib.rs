@@ -23,7 +23,7 @@ pub mod segment;
 pub mod size;
 pub mod snapshot;
 
-pub use compact::{CompactGraph, TraversalStats};
+pub use compact::{CompactGraph, DynEdge, EdgeRow, TraversalStats};
 pub use dot::{compact_to_dot, slice_to_dot};
 pub use paged::{PagedGraph, PagedStats};
 pub use full::FullGraph;

@@ -182,20 +182,49 @@ fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
 /// length, skipping the framing: the header (magic, format version,
 /// provenance digest), the section tags and the checksum words. A pin
 /// over these bytes names the graph the build produced, not the version
-/// or checksum of the file format that carries it.
-fn payload_digest(bytes: &[u8]) -> u64 {
+/// or checksum of the file format that carries it. The dynamic-label
+/// section is hashed as `graph`'s edges and their labels instead
+/// ([`dyn_digest`]), so the pin does not depend on how labels are laid out.
+fn payload_digest(bytes: &[u8], graph: &dynslice::CompactGraph) -> u64 {
     // magic (8), version (4), digest (8); then per section: tag (1),
     // length (8), payload, checksum (8).
+    const TAG_DYN: u8 = 5;
     let mut pos = 20;
     let mut h = 0xcbf2_9ce4_8422_2325;
     while pos < bytes.len() {
         let len = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap());
         let payload = &bytes[pos + 9..pos + 9 + len as usize];
-        h = fnv1a64(h, &len.to_le_bytes());
-        h = fnv1a64(h, payload);
+        if bytes[pos] == TAG_DYN {
+            h = dyn_digest(h, graph);
+        } else {
+            h = fnv1a64(h, &len.to_le_bytes());
+            h = fnv1a64(h, payload);
+        }
         pos += 9 + payload.len() + 8;
     }
     assert_eq!(pos, bytes.len(), "sections end where the file ends");
+    h
+}
+
+/// FNV-1a 64 over every dynamic edge of `graph` with its labels, as
+/// [`dynslice::CompactGraph::edge_labels`] lists them (rows by key, edges
+/// by target, pairs by use timestamp), continuing from `h`.
+fn dyn_digest(mut h: u64, graph: &dynslice::CompactGraph) -> u64 {
+    use dynslice::graph::EdgeRow;
+    for e in graph.edge_labels() {
+        let (kind, key) = match e.row {
+            EdgeRow::Use(occ, k) => (0u8, u64::from(occ) << 8 | u64::from(k)),
+            EdgeRow::Control(key) => (1, u64::from(key)),
+        };
+        h = fnv1a64(h, &[kind]);
+        h = fnv1a64(h, &key.to_le_bytes());
+        h = fnv1a64(h, &e.target.to_le_bytes());
+        h = fnv1a64(h, &(e.labels.len() as u64).to_le_bytes());
+        for (tu, td) in e.labels {
+            h = fnv1a64(h, &tu.to_le_bytes());
+            h = fnv1a64(h, &td.to_le_bytes());
+        }
+    }
     h
 }
 
@@ -206,28 +235,29 @@ fn payload_digest(bytes: &[u8]) -> u64 {
 /// snapshot hash to a recorded digest, so a rewrite of the build pass
 /// cannot move one byte of the graph it produces. The pins cover the
 /// payloads only, so a change to the snapshot framing (format version,
-/// section checksum) leaves them standing.
+/// section checksum) leaves them standing, and the dynamic labels as
+/// edges and pairs, so a change to how they are laid out does too.
 #[test]
 fn suite_builds_match_pinned_digests() {
     use dynslice::{build_compact, snapshot, Snapshot};
     let no_spec = || OptConfig { spec: SpecPolicy::None, ..Default::default() };
     for (name, config, pinned) in [
-        ("099.go", OptConfig::default(), 0x09a5_45dd_8e9c_aa64u64),
-        ("300.twolf", OptConfig::default(), 0x97b2_47b7_e7e4_a71e),
-        ("181.mcf", OptConfig::default(), 0x1e64_b209_d505_1818),
-        ("099.go", OptConfig::none(), 0x2dfe_1047_bc41_a81d),
-        ("300.twolf", OptConfig::none(), 0xde55_fd47_1903_90d0),
-        ("181.mcf", OptConfig::none(), 0x4987_fa7c_6093_4568),
-        ("099.go", no_spec(), 0xb47b_a98b_faf7_6677),
-        ("300.twolf", no_spec(), 0xc75c_cdda_ccd9_a6c1),
-        ("181.mcf", no_spec(), 0x9927_fe90_ce14_4fc9),
-        ("256.bzip2", OptConfig::default(), 0x88dc_0bd6_99d6_b723),
-        ("255.vortex", OptConfig::default(), 0x45d2_8b38_aaf1_233e),
-        ("197.parser", OptConfig::default(), 0x6035_b258_d7c8_204c),
-        ("164.gzip", OptConfig::default(), 0x1557_fe74_d411_c394),
-        ("134.perl", OptConfig::default(), 0x559f_bc49_9da8_f187),
-        ("130.li", OptConfig::default(), 0x0fcb_5868_6b71_5e68),
-        ("126.gcc", OptConfig::default(), 0x66dd_9af9_58ea_3d0d),
+        ("099.go", OptConfig::default(), 0x864c_cdc3_15e9_462fu64),
+        ("300.twolf", OptConfig::default(), 0x49a6_d319_bad7_eec6),
+        ("181.mcf", OptConfig::default(), 0xbbfc_83f0_108b_92e3),
+        ("099.go", OptConfig::none(), 0x7b29_80f1_c492_d4a2),
+        ("300.twolf", OptConfig::none(), 0x56e9_30a5_a06f_40a8),
+        ("181.mcf", OptConfig::none(), 0x63d7_3be2_16b9_3f5d),
+        ("099.go", no_spec(), 0x5664_be5f_c5ea_24ba),
+        ("300.twolf", no_spec(), 0x8345_d395_cd91_0c62),
+        ("181.mcf", no_spec(), 0x162f_32d6_e6f3_7441),
+        ("256.bzip2", OptConfig::default(), 0x6493_aedd_c06e_432b),
+        ("255.vortex", OptConfig::default(), 0xeecd_9ed4_cd9e_1d2c),
+        ("197.parser", OptConfig::default(), 0x33a5_af42_f736_fb20),
+        ("164.gzip", OptConfig::default(), 0x2756_828c_9fb6_980e),
+        ("134.perl", OptConfig::default(), 0x71b7_58d9_fa0c_af90),
+        ("130.li", OptConfig::default(), 0xa6fd_6395_11ae_a593),
+        ("126.gcc", OptConfig::default(), 0x1698_b5c9_2f20_9914),
     ] {
         let w = workloads::by_name(name).unwrap();
         let src = w.source(0.2);
@@ -237,7 +267,7 @@ fn suite_builds_match_pinned_digests() {
         let graph = build_compact(&session.program, &session.analysis, &trace.events, &config);
         let label = format!("{name} {config:?}");
         let snap = Snapshot { source: src, input: w.input.clone(), config, graph };
-        let digest = payload_digest(&snapshot::encode(&snap));
+        let digest = payload_digest(&snapshot::encode(&snap), &snap.graph);
         assert_eq!(digest, pinned, "{label}: snapshot payloads moved");
     }
 }
