@@ -281,6 +281,9 @@ pub struct NodeGraph {
     pub num_groups: u32,
 }
 
+/// No definition, in [`NodeGraph::build_share_plan`]'s per-block tables.
+const NO_DEF: StmtId = StmtId(u32::MAX);
+
 /// Feature switches for the static component (ablations / Fig. 15 stages).
 #[derive(Clone, Debug)]
 pub struct OptConfig {
@@ -687,60 +690,62 @@ impl NodeGraph {
         analysis: &ProgramAnalysis,
         config: &OptConfig,
     ) {
+        let mut first_use = Vec::new();
+        let mut cands = Vec::new();
         for (fi, f) in program.functions.iter().enumerate() {
-            let fid = FuncId(fi as u32);
-            let fa = analysis.func(fid);
-            // Last scalar def of each variable per block, plus first scalar
-            // uses per block.
-            let nblocks = f.blocks.len();
-            let mut last_def: Vec<HashMap<VarId, StmtId>> = vec![HashMap::new(); nblocks];
-            let mut defines: Vec<std::collections::HashSet<VarId>> =
-                vec![Default::default(); nblocks];
-            // First use of each var in a block *before any local def*.
-            let mut first_use: Vec<HashMap<VarId, (StmtId, u8)>> = vec![HashMap::new(); nblocks];
+            let fa = analysis.func(FuncId(fi as u32));
+            let (nblocks, nvars) = (f.blocks.len(), f.num_vars as usize);
+            // Per block, indexed by variable: the block's last scalar
+            // definition of it (`last_def[b * nvars + v]`). Per block, in
+            // statement order: the first scalar use of each variable that
+            // comes before any definition of it in the block
+            // (`first_use[use_start[b]..use_start[b + 1]]`).
+            let mut last_def = vec![NO_DEF; nblocks * nvars];
+            let mut use_start = Vec::with_capacity(nblocks + 1);
+            // The block (plus one) that last defined or first-used each
+            // variable: a use of a variable already marked is not a first use.
+            let mut marked = vec![0u32; nvars];
+            first_use.clear();
             for (bi, bb) in f.blocks.iter().enumerate() {
-                let mut defined: std::collections::HashSet<VarId> = Default::default();
-                fn consider(
-                    sid: StmtId,
-                    shapes: &[UseShape],
-                    defined: &std::collections::HashSet<VarId>,
-                    first_use: &mut HashMap<VarId, (StmtId, u8)>,
-                ) {
-                    for (k, sh) in shapes.iter().enumerate() {
-                        if let UseShape::Scalar(v) = sh {
-                            if !defined.contains(v) && !first_use.contains_key(v) {
-                                first_use.insert(*v, (sid, k as u8));
+                use_start.push(first_use.len());
+                let mark = bi as u32 + 1;
+                let defs = &mut last_def[bi * nvars..][..nvars];
+                let stmts = bb.stmts.iter().map(|st| (st.id, Some(&st.kind)));
+                for (sid, kind) in stmts.chain([(bb.term_id, None)]) {
+                    for (k, sh) in self.stmt_shapes[sid.index()].iter().enumerate() {
+                        if let UseShape::Scalar(v) = *sh {
+                            if marked[v.index()] != mark {
+                                marked[v.index()] = mark;
+                                first_use.push((v, sid, k as u8));
                             }
                         }
                     }
-                }
-                for st in &bb.stmts {
-                    consider(st.id, &self.stmt_shapes[st.id.index()], &defined, &mut first_use[bi]);
-                    if let StmtKind::Assign { dst, .. } = &st.kind {
-                        defined.insert(*dst);
-                        last_def[bi].insert(*dst, st.id);
-                        defines[bi].insert(*dst);
+                    if let Some(StmtKind::Assign { dst, .. }) = kind {
+                        marked[dst.index()] = mark;
+                        defs[dst.index()] = sid;
                     }
                 }
-                consider(bb.term_id, &self.stmt_shapes[bb.term_id.index()], &defined, &mut first_use[bi]);
             }
+            use_start.push(first_use.len());
+            let defines = |b: BlockId, v: VarId| last_def[b.index() * nvars + v.index()] != NO_DEF;
             // Candidate pairs per (bd, bu).
             for bd in f.block_ids() {
-                if last_def[bd.index()].is_empty() {
+                let defs = &last_def[bd.index() * nvars..][..nvars];
+                if defs.iter().all(|&d| d == NO_DEF) {
                     continue;
                 }
                 for bu in f.block_ids() {
-                    if bu == bd || first_use[bu.index()].is_empty() {
+                    let uses = &first_use[use_start[bu.index()]..use_start[bu.index() + 1]];
+                    if bu == bd || uses.is_empty() {
                         continue;
                     }
                     // Data-data sharing (OPT-3).
                     if config.share_data {
-                        let cands: Vec<(VarId, StmtId, StmtId, u8)> = first_use[bu.index()]
-                            .iter()
-                            .filter_map(|(v, (us, uk))| {
-                                last_def[bd.index()].get(v).map(|d| (*v, *d, *us, *uk))
-                            })
-                            .collect();
+                        cands.clear();
+                        cands.extend(uses.iter().filter_map(|&(v, us, uk)| {
+                            let d = defs[v.index()];
+                            (d != NO_DEF).then_some((v, d, us, uk))
+                        }));
                         for i in 0..cands.len() {
                             for j in i + 1..cands.len() {
                                 let (v1, d1, u1, k1) = cands[i];
@@ -749,8 +754,8 @@ impl NodeGraph {
                                     &fa.cfg,
                                     bd,
                                     bu,
-                                    &|x| defines[x.index()].contains(&v1) && x != bd,
-                                    &|x| defines[x.index()].contains(&v2) && x != bd,
+                                    &|x| defines(x, v1) && x != bd,
+                                    &|x| defines(x, v2) && x != bd,
                                 );
                                 if ok {
                                     self.share_pair((u1, k1, d1), (u2, k2, d2));
@@ -759,17 +764,18 @@ impl NodeGraph {
                         }
                     }
                     // Control-data sharing (OPT-6): bu's unique ancestor is
-                    // bd, and bd's last def of v always survives to bu.
+                    // bd, and bd's last def of v always survives to bu. The
+                    // data partner is the first such use in statement order.
                     if config.share_cd && fa.cd.unique_ancestor(bu) == Some(bd) {
                         let parent_stmt = f.block(bd).term_id;
                         let child_term = f.block(bu).term_id;
-                        for (v, (us, uk)) in &first_use[bu.index()] {
-                            let Some(d) = last_def[bd.index()].get(v) else { continue };
-                            let ok = kill_free_chop(&fa.cfg, bd, bu, &|x| {
-                                defines[x.index()].contains(v)
-                            });
-                            if ok {
-                                let g = self.group_of_data((*us, *uk, *d));
+                        for &(v, us, uk) in uses {
+                            let d = defs[v.index()];
+                            if d == NO_DEF {
+                                continue;
+                            }
+                            if kill_free_chop(&fa.cfg, bd, bu, &|x| defines(x, v)) {
+                                let g = self.group_of_data((us, uk, d));
                                 self.share_cd.insert((child_term, parent_stmt), g);
                                 break; // one data partner suffices
                             }
@@ -983,5 +989,30 @@ mod tests {
         );
         assert!(ng.num_groups >= 1, "expected an OPT-3 sharing group");
         assert!(!ng.share_data.is_empty());
+    }
+
+    /// The sharing plan is a function of the program: repeated builds in
+    /// one process give the same groups. In `main`, `a`, `b` and `c` are
+    /// defined in the entry block and all first used in the `if` body,
+    /// whose unique control ancestor is the entry, so the body's control
+    /// edge has three valid OPT-6 data partners. With OPT-3 off each
+    /// partner would get a group of its own, so a pick that followed a
+    /// hash table's order would move `share_data` from build to build.
+    #[test]
+    fn share_plan_is_deterministic() {
+        let src = "fn main() {
+               int a = input();
+               int b = input();
+               int c = input();
+               if (a > 0) { print c + b + a; }
+             }";
+        let plan = |ng: &NodeGraph| (ng.share_data.clone(), ng.share_cd.clone(), ng.num_groups);
+        for config in [OptConfig::default(), OptConfig { share_data: false, ..OptConfig::default() }] {
+            let (_, first) = build(src, &config);
+            assert_eq!(first.share_cd.len(), 1, "one OPT-6 site: {config:?}");
+            for _ in 0..8 {
+                assert_eq!(plan(&build(src, &config).1), plan(&first), "{config:?}");
+            }
+        }
     }
 }
