@@ -6,9 +6,9 @@
 //! verified against the actual shadow-map resolution and costs nothing;
 //! instances the static component cannot infer (or whose inference fails
 //! verification — the aliasing cases of OPT-1b) get explicit timestamp
-//! pairs on dynamic edges. Label lists may be shared between edges per the
-//! OPT-3/OPT-6 plan; identical consecutive pairs on a shared list are
-//! stored once.
+//! pairs on dynamic edges. Label lists (channels, while the graph is built)
+//! may be shared between edges per the OPT-3/OPT-6 plan; identical
+//! consecutive pairs on a shared list are stored once.
 //!
 //! # Traversal kernel
 //!
@@ -19,12 +19,13 @@
 //!   edges one row per use slot (an occurrence's slot base plus `k`),
 //!   control edges one row per block-key occurrence — a lookup is two
 //!   slice indexings, not a hash probe;
-//! * the labels are one arena ([`Labels`]): every channel's use timestamps
-//!   in one column and their definition timestamps in another, a channel
-//!   being a range of both, so a search is one binary search over
-//!   contiguous use timestamps. Each edge row lists its channels longest
-//!   first, the likeliest to hold a timestamp; no two edges of a row hold
-//!   the same one, so the order changes no answer, only the searches;
+//! * the labels are one arena ([`Labels`]) of runs sorted by use
+//!   timestamp. A row's own labels form one run, each stored definition
+//!   timestamp carrying in its top 16 bits the index of the edge that owns
+//!   it, so resolving a use or a block's control dependence is one binary
+//!   search: no two edges of a row hold the same use timestamp. Only a
+//!   channel that more than one edge references (OPT-3/OPT-6 sharing) keeps
+//!   a run of its own, searched after the row's own run;
 //! * each piece of work is done once per query. Node instances share one
 //!   timestamp, so the closures of one instance's statements overlap; a
 //!   label-searching frontier entry is resolved at most once per
@@ -62,12 +63,11 @@
 //!   off it once, when the build ends;
 //! * the dynamic-label store keeps one edge list per use slot and per
 //!   block key, and its labels as one log of pairs in arrival order,
-//!   sized from the trace, which becomes the [`Labels`] arena in place;
+//!   sized from the trace, which becomes the [`Labels`] runs in place;
 //!   the per-optimization counters of [`BuildStats`] are an array;
 //! * segmentation ([`segment`]) reads the Ball–Larus tracker's per-block
 //!   tables and keeps no block list per path.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -91,10 +91,9 @@ pub(crate) const NONE_TARGET: u32 = u32::MAX;
 pub struct CompactGraph {
     /// The static component.
     pub nodes: NodeGraph,
-    /// Timestamp-pair lists (channels) in one arena; shared lists appear
-    /// once.
+    /// Timestamp-pair runs in one arena; shared lists appear once.
     pub(crate) labels: Labels,
-    /// Dynamic data edges, one row of `(target, channel)` per use slot
+    /// Dynamic data edges, one row of `(target, run)` per use slot
     /// ([`crate::nodes::UseRows::slot`]).
     pub(crate) data_dyn: EdgeRows,
     /// Dynamic control edges, one row per block-key occurrence.
@@ -129,59 +128,81 @@ pub enum EdgeRow {
 pub struct DynEdge {
     /// The row the edge hangs off.
     pub row: EdgeRow,
-    /// The defining (data) or parent (control) occurrence; `u32::MAX` for
-    /// "no definition".
+    /// The defining (data) or parent (control) occurrence; `u32::MAX`: none.
     pub target: u32,
     /// The edge's `(use timestamp, definition timestamp)` pairs, ascending.
     pub labels: Vec<(u64, u64)>,
 }
 
-/// Where a slicing traversal finds dynamic labels: channel `chan`'s
-/// timestamp pairs, sorted by use timestamp. The resident channels never
-/// fail; the paged hybrid's page cache fails with an I/O error.
+/// Where a slicing traversal finds dynamic labels: run `run`'s timestamp
+/// pairs, sorted by use timestamp. The resident arena never fails; the
+/// paged hybrid's page cache fails with an I/O error.
 pub(crate) trait LabelSearch {
     /// Why a lookup can fail.
     type Error;
 
-    /// The definition timestamp paired with use timestamp `tu` on channel
-    /// `chan`, if the channel holds one.
-    fn search(&mut self, chan: u32, tu: u64) -> Result<Option<u64>, Self::Error>;
+    /// The stored definition timestamp, owner bits included ([`unpack`]),
+    /// paired with use timestamp `tu` in run `run`, if the run holds one.
+    fn search(&mut self, run: u32, tu: u64) -> Result<Option<u64>, Self::Error>;
 }
 
-/// Every channel's timestamp pairs in one arena, as two parallel columns:
-/// channel `c` is `start[c]..start[c + 1]` of `tu` (use timestamps,
-/// ascending within the channel) and `td` (the paired definition
-/// timestamps). A search is one binary search over contiguous use
-/// timestamps, and the whole arena is three allocations.
+/// A stored definition timestamp keeps the timestamp in its low 48 bits
+/// (timestamps count node executions, far fewer) and its owner index in
+/// the top 16: a row with more own edges than that gets a run per
+/// [`MAX_OWNERS`].
+pub(crate) const TS_LIMIT: u64 = 1 << 48;
+const MAX_OWNERS: usize = 1 << 16;
+
+/// A stored definition timestamp's `(owner index, timestamp)`.
+#[inline]
+pub(crate) fn unpack(td: u64) -> (usize, u64) {
+    ((td >> 48) as usize, td & (TS_LIMIT - 1))
+}
+
+/// Every run's timestamp pairs in one arena, as two parallel columns: run
+/// `r` is `start[r]..start[r + 1]` of `tu` (use timestamps, strictly
+/// ascending within the run) and `td` (the paired definition timestamps,
+/// each with its owner index in the top 16 bits, see [`unpack`]). A search
+/// is one binary search over contiguous use timestamps, and the whole
+/// arena is three allocations. The snapshot reader checks what it reads.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Labels {
-    /// Channel offsets into the columns; one more entry than channels.
-    start: Vec<u64>,
-    tu: Vec<u64>,
-    td: Vec<u64>,
+    /// Run offsets into the columns; one more entry than runs.
+    pub(crate) start: Vec<u64>,
+    pub(crate) tu: Vec<u64>,
+    pub(crate) td: Vec<u64>,
 }
 
 impl Labels {
     /// Lays the builder's pair log out as the arena, in place: `tu`, `td`
     /// and `chan` list every stored pair in arrival order, `chan` naming
-    /// its channel (one of `num_channels`). Each pair moves once, to its
-    /// channel's range, keeping arrival order within the channel, and a
-    /// channel out of use-timestamp order (return-value edges append
-    /// late) is then sorted. The log's columns become the arena's, so no
-    /// second copy of the labels is ever live.
-    fn from_log(mut tu: Vec<u64>, mut td: Vec<u64>, mut chan: Vec<u32>, num_channels: usize) -> Self {
-        let mut start = vec![0u64; num_channels + 1];
+    /// its channel, which `plan` places in a run. Each pair moves once, to
+    /// its run's range, keeping arrival order within the run, with its
+    /// owner packed into its `td`. A row's pairs arrive in use-timestamp
+    /// order, so only a run that arrived out of order (return-value edges
+    /// append late under recursion) is then sorted. The log's columns
+    /// become the arena's, so no second copy of the labels is ever live.
+    ///
+    /// # Panics
+    /// Panics if a definition timestamp does not fit 48 bits, or if a run
+    /// holds a use timestamp twice: two edges of one row would then hold it.
+    fn from_log(mut tu: Vec<u64>, mut td: Vec<u64>, mut chan: Vec<u32>, plan: &RunPlan) -> Self {
+        let (place, num_runs) = (&plan.place, plan.num_runs as usize);
+        let mut start = vec![0u64; num_runs + 1];
         for &c in &chan {
-            start[c as usize + 1] += 1;
+            start[place[c as usize].0 as usize + 1] += 1;
         }
-        for c in 0..num_channels {
-            start[c + 1] += start[c];
+        for r in 0..num_runs {
+            start[r + 1] += start[r];
         }
         // `chan` becomes each pair's arena position; the permutation is
         // then applied one cycle at a time.
-        let mut next = start[..num_channels].to_vec();
-        for c in &mut chan {
-            let pos = &mut next[*c as usize];
+        let mut next = start[..num_runs].to_vec();
+        for (c, d) in chan.iter_mut().zip(&mut td) {
+            let (run, owner) = place[*c as usize];
+            assert!(*d < TS_LIMIT, "definition timestamp {d} does not fit 48 bits");
+            *d |= u64::from(owner) << 48;
+            let pos = &mut next[run as usize];
             *c = u32::try_from(*pos).expect("label pairs fit u32 positions");
             *pos += 1;
         }
@@ -196,68 +217,44 @@ impl Labels {
             }
         }
         drop(chan);
+        let ascends = |tu: &[u64]| tu.windows(2).all(|w| w[0] < w[1]);
         let mut pairs = Vec::new();
         for w in start.windows(2) {
             let r = w[0] as usize..w[1] as usize;
-            if tu[r.clone()].is_sorted() {
+            if ascends(&tu[r.clone()]) {
                 continue;
             }
             pairs.clear();
-            pairs.extend(td[r.clone()].iter().copied().zip(tu[r.clone()].iter().copied()));
-            pairs.sort_unstable_by_key(|&(_, u)| u);
-            for (k, &(d, u)) in r.zip(&pairs) {
-                td[k] = d;
+            pairs.extend(tu[r.clone()].iter().copied().zip(td[r.clone()].iter().copied()));
+            pairs.sort_unstable_by_key(|&(u, _)| u);
+            for (k, &(u, d)) in r.clone().zip(&pairs) {
                 tu[k] = u;
+                td[k] = d;
             }
+            assert!(ascends(&tu[r]), "two edges of one row hold the same use timestamp");
         }
         tu.shrink_to_fit();
         td.shrink_to_fit();
         Labels { start, tu, td }
     }
 
-    /// An empty arena with room for `channels` channels of `pairs` pairs.
-    pub(crate) fn with_capacity(channels: usize, pairs: usize) -> Self {
-        let mut start = Vec::with_capacity(channels + 1);
-        start.push(0);
-        Labels { start, tu: Vec::with_capacity(pairs), td: Vec::with_capacity(pairs) }
-    }
-
-    /// Appends a channel: its use timestamps in ascending order, and the
-    /// definition timestamps paired with them.
-    pub(crate) fn push_channel(
-        &mut self,
-        tu: impl Iterator<Item = u64>,
-        td: impl Iterator<Item = u64>,
-    ) {
-        self.tu.extend(tu);
-        self.td.extend(td);
-        debug_assert_eq!(self.tu.len(), self.td.len(), "unpaired timestamps");
-        self.start.push(self.tu.len() as u64);
-    }
-
-    pub(crate) fn num_channels(&self) -> usize {
+    pub(crate) fn num_runs(&self) -> usize {
         self.start.len() - 1
     }
 
-    /// Channel `chan`'s pairs as arena offsets `(first, end)`; these stay
-    /// valid once the columns are drained ([`CompactGraph::drain_labels`]).
+    /// Run `run`'s pairs as arena offsets `(first, end)`; these stay valid
+    /// once the columns are drained ([`CompactGraph::drain_labels`]).
     #[inline]
-    pub(crate) fn bounds(&self, chan: u32) -> (u64, u64) {
-        let c = chan as usize;
-        (self.start[c], self.start[c + 1])
+    pub(crate) fn bounds(&self, run: u32) -> (u64, u64) {
+        let r = run as usize;
+        (self.start[r], self.start[r + 1])
     }
 
-    /// Pairs on channel `chan`.
-    fn len_of(&self, chan: u32) -> u64 {
-        let (a, b) = self.bounds(chan);
-        b - a
-    }
-
-    /// Channel `chan`'s `(td, tu)` pairs, in `tu` order.
-    pub(crate) fn channel(&self, chan: u32) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let (a, b) = self.bounds(chan);
+    /// Run `run`'s use timestamps and stored definition timestamps.
+    fn run(&self, run: u32) -> (&[u64], &[u64]) {
+        let (a, b) = self.bounds(run);
         let r = a as usize..b as usize;
-        self.td[r.clone()].iter().copied().zip(self.tu[r].iter().copied())
+        (&self.tu[r.clone()], &self.td[r])
     }
 }
 
@@ -268,21 +265,22 @@ impl LabelSearch for Resident<'_> {
     type Error = Infallible;
 
     #[inline]
-    fn search(&mut self, chan: u32, tu: u64) -> Result<Option<u64>, Infallible> {
-        let (a, b) = self.0.bounds(chan);
-        let (a, b) = (a as usize, b as usize);
-        Ok(self.0.tu[a..b].binary_search(&tu).ok().map(|i| self.0.td[a + i]))
+    fn search(&mut self, run: u32, tu: u64) -> Result<Option<u64>, Infallible> {
+        let (tus, tds) = self.0.run(run);
+        Ok(tus.binary_search(&tu).ok().map(|i| tds[i]))
     }
 }
 
 /// Dynamic edge lists in compressed-sparse-row form: row `r`'s
-/// `(target, channel)` pairs are `edges[start[r]..start[r + 1]]`, so
-/// finding a row is two slice indexings. Empty rows cost one offset.
+/// `(target, run)` pairs are `edges[start[r]..start[r + 1]]`, so finding a
+/// row is two slice indexings. Empty rows cost one offset. The edges of a
+/// row that share a run are adjacent, and the run's stored pairs name
+/// their owner by its index among them.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct EdgeRows {
     /// Row offsets into `edges`; one more entry than there are rows.
-    start: Vec<u32>,
-    edges: Vec<(u32, u32)>,
+    pub(crate) start: Vec<u32>,
+    pub(crate) edges: Vec<(u32, u32)>,
 }
 
 impl EdgeRows {
@@ -304,51 +302,6 @@ impl EdgeRows {
             .enumerate()
             .filter(|(_, w)| w[0] != w[1])
             .map(|(r, w)| (r, &self.edges[w[0] as usize..w[1] as usize]))
-    }
-
-}
-
-/// Builds [`EdgeRows`] from rows appended in strictly increasing order,
-/// putting each row in probe order as it lands: longest channel of
-/// `labels` first, ties by channel id, then target. A resolution takes the
-/// first channel that holds its timestamp, and no two edges of one row
-/// hold the same use timestamp, so the order changes no answer; the
-/// longest channel is the likeliest to hold it, so it saves searches.
-#[derive(Debug)]
-pub(crate) struct EdgeRowsBuilder<'l> {
-    num_rows: usize,
-    rows: EdgeRows,
-    labels: &'l Labels,
-}
-
-impl<'l> EdgeRowsBuilder<'l> {
-    pub(crate) fn new(num_rows: usize, labels: &'l Labels) -> Self {
-        let mut start = Vec::with_capacity(num_rows + 1);
-        start.push(0);
-        Self { num_rows, rows: EdgeRows { start, edges: Vec::new() }, labels }
-    }
-
-    /// Appends row `r`'s edges; the rows skipped since the last one are
-    /// empty. `r` must be past every row appended so far and below the
-    /// row count.
-    pub(crate) fn push(&mut self, r: usize, edges: &[(u32, u32)]) {
-        let next = self.rows.start.len() - 1;
-        assert!(r >= next && r < self.num_rows, "edge row {r} out of order");
-        let end = *self.rows.start.last().expect("offsets start at 0");
-        self.rows.start.resize(r + 1, end);
-        self.rows.edges.extend_from_slice(edges);
-        let labels = self.labels;
-        self.rows.edges[end as usize..]
-            .sort_unstable_by_key(|&(t, chan)| (Reverse(labels.len_of(chan)), chan, t));
-        let end = u32::try_from(self.rows.edges.len()).expect("dynamic edges fit u32 offsets");
-        self.rows.start.push(end);
-    }
-
-    /// Closes the remaining rows (empty).
-    pub(crate) fn finish(mut self) -> EdgeRows {
-        let end = *self.rows.start.last().expect("offsets start at 0");
-        self.rows.start.resize(self.num_rows + 1, end);
-        self.rows
     }
 }
 
@@ -383,15 +336,51 @@ impl RowLists {
         }
         self.lists[self.list_of[r] as usize].push(edge);
     }
+}
 
-    fn into_edge_rows(self, labels: &Labels) -> EdgeRows {
-        let mut rows = EdgeRowsBuilder::new(self.list_of.len(), labels);
-        for (r, &l) in self.list_of.iter().enumerate() {
-            if l != Self::EMPTY {
-                rows.push(r, &self.lists[l as usize]);
-            }
+/// Where each channel's pairs go: channel `c` is owner `place[c].1` of
+/// run `place[c].0`, one of `num_runs`.
+struct RunPlan {
+    place: Vec<(u32, u16)>,
+    num_runs: u32,
+}
+
+impl RunPlan {
+    /// Lays the builder's data and control rows out as [`EdgeRows`] of
+    /// `(target, run)`, placing their `num_channels` channels. A row's own
+    /// channels (referenced by one edge) come first, in discovery order,
+    /// owners `0..` of one new run per [`MAX_OWNERS`] of them; then each
+    /// shared channel, owner 0 of a run of its own, placed by the first row
+    /// that reaches it.
+    fn lay_out(num_channels: usize, lists: [&RowLists; 2]) -> (Self, [EdgeRows; 2]) {
+        let mut refs = vec![0u32; num_channels];
+        for &(_, c) in lists.iter().flat_map(|l| &l.lists).flatten() {
+            refs[c as usize] += 1;
         }
-        rows.finish()
+        let (mut place, mut num_runs) = (vec![(u32::MAX, 0); num_channels], 0);
+        let rows = lists.map(|rows| {
+            let mut start = Vec::with_capacity(rows.list_of.len() + 1);
+            start.push(0);
+            let mut edges = Vec::with_capacity(rows.lists.iter().map(Vec::len).sum());
+            for r in 0..rows.list_of.len() {
+                let row = rows.row(r);
+                for (k, &(target, c)) in row.iter().filter(|e| refs[e.1 as usize] == 1).enumerate() {
+                    num_runs += u32::from(k % MAX_OWNERS == 0);
+                    place[c as usize] = (num_runs - 1, (k % MAX_OWNERS) as u16);
+                    edges.push((target, num_runs - 1));
+                }
+                for &(target, c) in row.iter().filter(|e| refs[e.1 as usize] > 1) {
+                    if place[c as usize].0 == u32::MAX {
+                        num_runs += 1;
+                        place[c as usize] = (num_runs - 1, 0);
+                    }
+                    edges.push((target, place[c as usize].0));
+                }
+                start.push(u32::try_from(edges.len()).expect("dynamic edges fit u32 offsets"));
+            }
+            EdgeRows { start, edges }
+        });
+        (RunPlan { place, num_runs }, rows)
     }
 }
 
@@ -590,9 +579,9 @@ impl CompactGraph {
         Self::assemble(nodes, store, stats, last_def, outputs, ts)
     }
 
-    /// Assembles a graph from its built parts, laying the store's
-    /// channels out as one [`Labels`] arena and its edge lists as
-    /// [`EdgeRows`].
+    /// Assembles a graph from its built parts, laying the store's edge
+    /// lists out as [`EdgeRows`] and its pair log as the [`Labels`] runs
+    /// they name.
     fn assemble(
         nodes: NodeGraph,
         store: DynStore,
@@ -601,24 +590,19 @@ impl CompactGraph {
         outputs: Vec<(u32, u64)>,
         num_node_execs: u64,
     ) -> Self {
-        let labels = Labels::from_log(store.tu, store.td, store.chan, store.last.len());
-        let data_dyn = store.data_dyn.into_edge_rows(&labels);
-        let cd_dyn = store.cd_dyn.into_edge_rows(&labels);
+        let (plan, [data_dyn, cd_dyn]) = RunPlan::lay_out(store.last.len(), [&store.data_dyn, &store.cd_dyn]);
+        let labels = Labels::from_log(store.tu, store.td, store.chan, &plan);
         Self::from_parts(nodes, labels, data_dyn, cd_dyn, last_def, outputs, stats, num_node_execs)
     }
 
     /// Reassembles a graph from already-final arenas — the snapshot
-    /// reader's constructor, and the builder's last step. It does **not**
-    /// re-sort channels: the serialized channel order is the as-built
-    /// order, and `sort_unstable_by_key` could permute equal-key pairs,
-    /// breaking the round-trip bit-identity that
-    /// [`CompactGraph::first_difference`] pins. Both callers build the
-    /// edge rows with [`EdgeRowsBuilder`] over `labels`, so each row is in
-    /// probe order, a function of its edges and the channel lengths
-    /// alone. `data_dyn` has one row
-    /// per use slot of `nodes` ([`crate::nodes::UseRows::slot`]). The
-    /// shortcut memo is derived state (excluded from `first_difference`)
-    /// and starts empty, as does the walk-memo high-water mark.
+    /// reader's constructor, and the builder's last step. The snapshot
+    /// holds the runs and rows as laid out in memory, so a restore copies
+    /// them and [`CompactGraph::first_difference`] finds the round trip
+    /// bit-identical. `data_dyn` has one row per use slot of `nodes`
+    /// ([`crate::nodes::UseRows::slot`]). The shortcut memo is derived
+    /// state (excluded from `first_difference`) and starts empty, as does
+    /// the walk-memo high-water mark.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         nodes: NodeGraph,
@@ -661,8 +645,8 @@ impl CompactGraph {
         self.nodes.stmt_shapes.len()
     }
 
-    /// Dynamic data edges of use `(occ, k)` as `(target, channel)` pairs;
-    /// `k` is one of `occ`'s use slots.
+    /// Dynamic data edges of use `(occ, k)` as `(target, run)` pairs; `k`
+    /// is one of `occ`'s use slots.
     #[inline]
     pub fn dyn_edges(&self, occ: u32, k: u8) -> &[(u32, u32)] {
         debug_assert!((k as usize) < self.nodes.use_res[occ as usize].len(), "use slot {k} of {occ}");
@@ -675,19 +659,6 @@ impl CompactGraph {
         self.cd_dyn.row(key as usize)
     }
 
-    /// The non-empty data edge lists keyed by use `(occ, k)`, in key
-    /// order (the snapshot's DYN section order).
-    pub(crate) fn data_edge_lists(&self) -> impl Iterator<Item = ((u32, u8), &[(u32, u32)])> {
-        let starts = self.nodes.use_res.starts();
-        let mut occ = 0;
-        self.data_dyn.rows().map(move |(slot, edges)| {
-            while starts[occ + 1] as usize <= slot {
-                occ += 1;
-            }
-            ((occ as u32, (slot - starts[occ] as usize) as u8), edges)
-        })
-    }
-
     /// Every dynamic edge with its labels, in a form that does not depend
     /// on how the labels are stored: data rows by ascending use `(occ, k)`,
     /// then control rows by ascending block key; within a row, edges by
@@ -695,15 +666,19 @@ impl CompactGraph {
     /// between edges is listed under each of them. The columns must be
     /// resident (not drained).
     pub fn edge_labels(&self) -> Vec<DynEdge> {
-        let data = self.data_edge_lists().map(|((occ, k), edges)| (EdgeRow::Use(occ, k), edges));
-        let cd = self.cd_dyn.rows().map(|(key, edges)| (EdgeRow::Control(key as u32), edges));
+        let occs = 0..self.nodes.num_occs() as u32;
+        let uses = |occ: u32| (0..self.nodes.use_res[occ as usize].len() as u8).map(move |k| (occ, k));
+        let data = occs.clone().flat_map(uses).map(|(o, k)| (EdgeRow::Use(o, k), self.dyn_edges(o, k)));
+        let cd = occs.map(|key| (EdgeRow::Control(key), self.cd_edges(key)));
         let mut out = Vec::new();
         for (row, edges) in data.chain(cd) {
-            let first = out.len();
-            for &(target, chan) in edges {
-                let mut labels: Vec<(u64, u64)> =
-                    self.labels.channel(chan).map(|(td, tu)| (tu, td)).collect();
-                labels.sort_unstable();
+            let (first, mut group) = (out.len(), 0);
+            for (i, &(target, run)) in edges.iter().enumerate() {
+                group = if edges[group].1 == run { group } else { i };
+                let (tus, tds) = self.labels.run(run);
+                let labels = tus.iter().zip(tds).map(|(&tu, &td)| (tu, unpack(td)));
+                let labels = labels.filter(|&(_, (owner, _))| owner == i - group);
+                let labels = labels.map(|(tu, (_, td))| (tu, td)).collect();
                 out.push(DynEdge { row, target, labels });
             }
             out[first..].sort_unstable_by_key(|e| e.target);
@@ -718,6 +693,29 @@ impl CompactGraph {
         (std::mem::take(&mut self.labels.tu), std::mem::take(&mut self.labels.td))
     }
 
+    /// Resolves dynamic edge row `row` at use timestamp `ts`: if a run of
+    /// the row holds `ts`, `Some` of the owning edge's instance (`None` for
+    /// an edge to no definition). Each run of the row is searched once.
+    #[inline]
+    fn resolve_row<L: LabelSearch>(
+        labels: &mut L,
+        row: &[(u32, u32)],
+        ts: u64,
+        stats: &mut TraversalStats,
+    ) -> Result<Option<Option<(u32, u64)>>, L::Error> {
+        let mut i = 0;
+        while let Some(&(_, run)) = row.get(i) {
+            stats.label_searches += 1;
+            if let Some(td) = labels.search(run, ts)? {
+                let (owner, td) = unpack(td);
+                let target = row[i + owner].0;
+                return Ok(Some((target != NONE_TARGET).then_some((target, td))));
+            }
+            i += row[i..].iter().take_while(|e| e.1 == run).count();
+        }
+        Ok(None)
+    }
+
     /// Resolves use `(occ, k)` of the instance at `ts` to its defining
     /// instance, if any. Searches dynamic labels first, then applies the
     /// static inference; use-use edges chain without contributing.
@@ -729,11 +727,8 @@ impl CompactGraph {
         ts: u64,
         stats: &mut TraversalStats,
     ) -> Result<Option<(u32, u64)>, L::Error> {
-        for &(target, chan) in self.dyn_edges(occ, k) {
-            stats.label_searches += 1;
-            if let Some(td) = labels.search(chan, ts)? {
-                return Ok((target != NONE_TARGET).then_some((target, td)));
-            }
+        if let Some(def) = Self::resolve_row(labels, self.dyn_edges(occ, k), ts, stats)? {
+            return Ok(def);
         }
         Ok(match self.nodes.use_res[occ as usize][k as usize] {
             UseRes::StaticDu { target, .. } => Some((target, ts)),
@@ -754,11 +749,8 @@ impl CompactGraph {
         stats: &mut TraversalStats,
     ) -> Result<Option<(u32, u64)>, L::Error> {
         let key = self.nodes.occ_block_key[occ as usize];
-        for &(target, chan) in self.cd_edges(key) {
-            stats.label_searches += 1;
-            if let Some(tp) = labels.search(chan, ts)? {
-                return Ok((target != NONE_TARGET).then_some((target, tp)));
-            }
+        if let Some(parent) = Self::resolve_row(labels, self.cd_edges(key), ts, stats)? {
+            return Ok(parent);
         }
         Ok(match self.nodes.cd_res[occ as usize] {
             CdRes::Static { target, delta, .. } if ts >= delta => Some((target, ts - delta)),
@@ -791,7 +783,7 @@ impl CompactGraph {
     }
 
     /// The one slicing traversal, over labels found through `labels`: the
-    /// resident channels for OPT, the page cache for
+    /// resident arena for OPT, the page cache for
     /// [`crate::paged::PagedGraph`]. Only where the labels come from
     /// differs; the first label-lookup error aborts the walk.
     pub(crate) fn slice_in<L: LabelSearch>(
@@ -1060,20 +1052,22 @@ impl CompactGraph {
         s
     }
 
-    /// Use timestamps held more than once among the channels of one
-    /// dynamic edge row, counted once per extra holder. A resolution takes the first of a row's
-    /// channels that holds its timestamp, probing longest first
-    /// ([`EdgeRowsBuilder`]), so probe order changes no answer
-    /// only while this is zero. The columns must be resident (not drained).
+    /// Use timestamps held more than once among the runs of one dynamic
+    /// edge row, counted once per extra holder. A run's timestamps strictly
+    /// ascend, so within a run this is structural; a row that also reaches
+    /// shared runs takes the first run that holds its timestamp, so the
+    /// order of its runs changes no answer only while this is zero. The
+    /// columns must be resident (not drained).
     pub fn shared_row_timestamps(&self) -> u64 {
         let mut tus = Vec::new();
         let mut shared = 0;
         let rows = self.data_dyn.rows().chain(self.cd_dyn.rows());
         for (_, row) in rows.filter(|(_, r)| r.len() > 1) {
             tus.clear();
-            for &(_, chan) in row {
-                let (a, b) = self.labels.bounds(chan);
-                tus.extend_from_slice(&self.labels.tu[a as usize..b as usize]);
+            for (i, &(_, run)) in row.iter().enumerate() {
+                if i == 0 || row[i - 1].1 != run {
+                    tus.extend_from_slice(self.labels.run(run).0);
+                }
             }
             tus.sort_unstable();
             shared += tus.windows(2).filter(|w| w[0] == w[1]).count() as u64;
@@ -1081,13 +1075,20 @@ impl CompactGraph {
         shared
     }
 
+    /// Label runs whose use timestamps do not strictly ascend: a built or
+    /// restored graph has none. The columns must be resident.
+    pub fn unsorted_runs(&self) -> usize {
+        let ascends = |tu: &[u64]| tu.windows(2).all(|w| w[0] < w[1]);
+        (0..self.labels.num_runs() as u32).filter(|&r| !ascends(self.labels.run(r).0)).count()
+    }
+
     /// The final defining instance of `cell`, if any (slice criterion).
     pub fn last_def_of(&self, cell: Cell) -> Option<(u32, u64)> {
         self.last_def.get(&cell).copied()
     }
 
-    /// Compares every materialized component of two graphs — channel
-    /// tables, dynamic edge rows, last-defs, outputs, statistics —
+    /// Compares every materialized component of two graphs — label runs,
+    /// dynamic edge rows, last-defs, outputs, statistics —
     /// returning the name of the first differing component, or `None` if
     /// the graphs are bit-identical. This is the oracle the snapshot
     /// round-trip tests and the snapshot-load bench use; it deliberately
@@ -1095,7 +1096,7 @@ impl CompactGraph {
     #[must_use]
     pub fn first_difference(&self, other: &Self) -> Option<&'static str> {
         if self.labels != other.labels {
-            return Some("channels");
+            return Some("labels");
         }
         if self.data_dyn != other.data_dyn {
             return Some("data_dyn");
@@ -1133,8 +1134,8 @@ struct FrameState {
 
 /// The dynamic-label store: the pair log, the dynamic edge lists and the
 /// label-sharing channel assignments. The log and lists serve the insert
-/// path only; [`CompactGraph::assemble`] lays them out as [`Labels`] and
-/// [`EdgeRows`]. Channel indices are assigned in first-discovery order
+/// path only; [`CompactGraph::assemble`] lays them out as [`EdgeRows`] and
+/// the [`Labels`] runs. Channel indices are assigned in first-discovery order
 /// and identical consecutive pairs on a channel are stored once, so the
 /// exact same *sequence* of `record_*_pair` calls yields the exact same
 /// store — which is what the pinned snapshot digests of the suite builds
@@ -1143,7 +1144,7 @@ struct FrameState {
 struct DynStore {
     /// Every stored pair in arrival order: use timestamp, definition
     /// timestamp and channel, as three columns (20 bytes a pair), which
-    /// [`Labels::from_log`] permutes into the arena in place.
+    /// [`Labels::from_log`] permutes into runs in place.
     tu: Vec<u64>,
     td: Vec<u64>,
     chan: Vec<u32>,
@@ -1195,32 +1196,11 @@ impl DynStore {
         if let Some(&(_, chan)) = self.data_dyn.row(slot).iter().find(|(t, _)| *t == target) {
             return chan;
         }
-        let chan = if target != NONE_TARGET {
-            let key = (
-                nodes.occ_stmt[occ as usize],
-                k,
-                nodes.occ_stmt[target as usize],
-            );
-            match nodes.share_data.get(&key).copied() {
-                Some(group) => {
-                    let pair = (
-                        group,
-                        nodes.occ_node[target as usize],
-                        nodes.occ_node[occ as usize],
-                    );
-                    if let Some(&c) = self.group_chan.get(&pair) {
-                        c
-                    } else {
-                        let c = self.new_channel();
-                        self.group_chan.insert(pair, c);
-                        c
-                    }
-                }
-                None => self.new_channel(),
-            }
-        } else {
-            self.new_channel()
-        };
+        let group = (target != NONE_TARGET).then(|| {
+            let key = (nodes.occ_stmt[occ as usize], k, nodes.occ_stmt[target as usize]);
+            nodes.share_data.get(&key).copied()
+        });
+        let chan = self.group_channel(nodes, group.flatten(), target, occ);
         self.data_dyn.push(slot, (target, chan));
         chan
     }
@@ -1231,33 +1211,27 @@ impl DynStore {
         if let Some(&(_, chan)) = edges.iter().find(|(t, _)| *t == target) {
             return chan;
         }
-        let chan = if target != NONE_TARGET {
-            let key = (
-                nodes.occ_block_term[key_occ as usize],
-                nodes.occ_stmt[target as usize],
-            );
-            match nodes.share_cd.get(&key).copied() {
-                Some(group) => {
-                    let pair = (
-                        group,
-                        nodes.occ_node[target as usize],
-                        nodes.occ_node[key_occ as usize],
-                    );
-                    if let Some(&c) = self.group_chan.get(&pair) {
-                        c
-                    } else {
-                        let c = self.new_channel();
-                        self.group_chan.insert(pair, c);
-                        c
-                    }
-                }
-                None => self.new_channel(),
-            }
-        } else {
-            self.new_channel()
-        };
+        let group = (target != NONE_TARGET).then(|| {
+            let key = (nodes.occ_block_term[key_occ as usize], nodes.occ_stmt[target as usize]);
+            nodes.share_cd.get(&key).copied()
+        });
+        let chan = self.group_channel(nodes, group.flatten(), target, key_occ);
         self.cd_dyn.push(key_occ as usize, (target, chan));
         chan
+    }
+
+    /// The channel of sharing group `group` between the nodes of `target`
+    /// and `user`, made on first use, or a new channel of its own for an
+    /// edge in no group.
+    fn group_channel(&mut self, nodes: &NodeGraph, group: Option<u32>, target: u32, user: u32) -> u32 {
+        let Some(group) = group else { return self.new_channel() };
+        let pair = (group, nodes.occ_node[target as usize], nodes.occ_node[user as usize]);
+        if let Some(&c) = self.group_chan.get(&pair) {
+            return c;
+        }
+        let c = self.new_channel();
+        self.group_chan.insert(pair, c);
+        c
     }
 
     /// Appends a pair, deduplicating identical consecutive pairs on shared
@@ -1822,25 +1796,80 @@ mod tests {
         }
     }
 
-    /// The store's pair log becomes the arena in place: the pairs of
-    /// three interleaved channels, two of them appended out of
-    /// use-timestamp order, come out grouped by channel and sorted by use
-    /// timestamp, a fourth channel stays empty, and identical consecutive
-    /// pairs on a channel are stored once.
+    /// The store's pair log becomes runs in place. Use slot 0 has two
+    /// edges of its own, slot 2 one, and slots 1 and 2 share a channel. The
+    /// own channels of slot 0 merge into one run, with owners 0 and 1 in
+    /// discovery order; the shared channel keeps a run of its own, placed
+    /// by slot 1 and searched after slot 2's own run. A run whose pairs
+    /// arrived out of use-timestamp order comes out sorted, and identical
+    /// consecutive pairs on a channel are stored once.
     #[test]
-    fn pair_log_lays_out_as_arena() {
-        let mut store = DynStore::new(0, 0, 0);
-        let chans: Vec<u32> = (0..4).map(|_| store.new_channel()).collect();
-        let log = [(3, (1, 9)), (0, (2, 5)), (3, (1, 9)), (1, (4, 8)), (0, (3, 6)), (3, (7, 2)), (0, (1, 1))];
-        let stored: Vec<bool> = log.iter().map(|&(c, pair)| store.append(chans[c], pair)).collect();
-        assert_eq!(stored, [true, true, false, true, true, true, true]);
-        let labels = Labels::from_log(store.tu, store.td, store.chan, store.last.len());
-        let channel = |c: u32| labels.channel(c).collect::<Vec<_>>();
-        assert_eq!(labels.num_channels(), 4);
-        assert_eq!(channel(0), [(1, 1), (2, 5), (3, 6)]);
-        assert_eq!(channel(1), [(4, 8)]);
-        assert_eq!(channel(2), []);
-        assert_eq!(channel(3), [(7, 2), (1, 9)]);
+    fn pair_log_lays_out_as_runs() {
+        let mut store = DynStore::new(3, 0, 0);
+        let c: Vec<u32> = (0..4).map(|_| store.new_channel()).collect();
+        for (slot, target, chan) in [(0, 10, c[0]), (0, 11, c[1]), (1, 12, c[2]), (2, 13, c[3]), (2, 12, c[2])] {
+            store.data_dyn.push(slot, (target, chan));
+        }
+        let log = [(0, (5, 2)), (2, (9, 1)), (1, (8, 4)), (2, (9, 1)), (0, (6, 3)), (3, (3, 5)), (1, (1, 1)), (2, (2, 7))];
+        let stored: Vec<bool> = log.iter().map(|&(k, pair)| store.append(c[k], pair)).collect();
+        assert_eq!(stored, [true, true, true, false, true, true, true, true]);
+        let (plan, [rows, _]) = RunPlan::lay_out(store.last.len(), [&store.data_dyn, &store.cd_dyn]);
+        let labels = Labels::from_log(store.tu, store.td, store.chan, &plan);
+        assert_eq!(rows.start, [0, 2, 3, 5]);
+        assert_eq!(rows.edges, [(10, 0), (11, 0), (12, 1), (13, 2), (12, 1)]);
+        assert_eq!(labels.num_runs(), 3);
+        let run = |r| {
+            let (tu, td) = labels.run(r);
+            tu.iter().zip(td).map(|(&u, &d)| (u, unpack(d))).collect::<Vec<_>>()
+        };
+        assert_eq!(run(0), [(1, (1, 1)), (2, (0, 5)), (3, (0, 6)), (4, (1, 8))]);
+        assert_eq!(run(1), [(1, (0, 9)), (7, (0, 2))]);
+        assert_eq!(run(2), [(5, (0, 3))]);
+        let resolve = |slot: usize, ts| {
+            let mut stats = TraversalStats::default();
+            let row = rows.row(slot);
+            let hit = CompactGraph::resolve_row(&mut Resident(&labels), row, ts, &mut stats);
+            (hit.unwrap_or_else(|never: Infallible| match never {}), stats.label_searches)
+        };
+        assert_eq!(resolve(0, 4), (Some(Some((11, 8))), 1));
+        assert_eq!(resolve(2, 7), (Some(Some((12, 2))), 2));
+        assert_eq!(resolve(2, 6), (None, 2));
+    }
+
+    /// A row with more own edges than a stored owner index can name gets a
+    /// second run, searched after the first like a shared run.
+    #[test]
+    fn a_row_past_the_owner_bits_takes_a_second_run() {
+        let edges = MAX_OWNERS + 1;
+        let mut store = DynStore::new(1, 0, edges);
+        for i in 0..edges as u64 {
+            let chan = store.new_channel();
+            store.data_dyn.push(0, (i as u32, chan));
+            store.append(chan, (i + 100, i));
+        }
+        let (plan, [rows, _]) = RunPlan::lay_out(store.last.len(), [&store.data_dyn, &store.cd_dyn]);
+        let labels = Labels::from_log(store.tu, store.td, store.chan, &plan);
+        assert_eq!(labels.num_runs(), 2);
+        assert_eq!(labels.bounds(1), (MAX_OWNERS as u64, edges as u64));
+        for (i, searches) in [(0, 1), (MAX_OWNERS - 1, 1), (MAX_OWNERS, 2)] {
+            let mut stats = TraversalStats::default();
+            let hit = CompactGraph::resolve_row(&mut Resident(&labels), rows.row(0), i as u64, &mut stats);
+            let hit = hit.unwrap_or_else(|never: Infallible| match never {});
+            assert_eq!((hit, stats.label_searches), (Some(Some((i as u32, i as u64 + 100))), searches));
+        }
+    }
+
+    /// A timestamp that leaves no room for the owner bits is refused when
+    /// the arena is laid out.
+    #[test]
+    #[should_panic(expected = "does not fit 48 bits")]
+    fn timestamps_past_48_bits_are_refused() {
+        let mut store = DynStore::new(1, 0, 1);
+        let chan = store.new_channel();
+        store.data_dyn.push(0, (0, chan));
+        store.append(chan, (TS_LIMIT, 1));
+        let (plan, _) = RunPlan::lay_out(store.last.len(), [&store.data_dyn, &store.cd_dyn]);
+        Labels::from_log(store.tu, store.td, store.chan, &plan);
     }
 
     /// The builder's activation stack isolates frames, and a stack slot

@@ -84,11 +84,11 @@ pub fn compact_to_dot(program: &Program, graph: &CompactGraph, include_dynamic: 
                 );
             }
             if include_dynamic {
-                for &(target, chan) in graph.cd_edges(key) {
+                for &(target, run) in graph.cd_edges(key) {
                     if target != u32::MAX {
                         let _ = writeln!(
                             out,
-                            "  o{key} -> o{target} [style=dotted, color=red, label=\"c{chan}\"];"
+                            "  o{key} -> o{target} [style=dotted, color=red, label=\"r{run}\"];"
                         );
                     }
                 }
@@ -97,11 +97,11 @@ pub fn compact_to_dot(program: &Program, graph: &CompactGraph, include_dynamic: 
         if include_dynamic {
             let nuses = ng.use_res[occ as usize].len();
             for k in 0..nuses as u8 {
-                for &(target, chan) in graph.dyn_edges(occ, k) {
+                for &(target, run) in graph.dyn_edges(occ, k) {
                     if target != u32::MAX {
                         let _ = writeln!(
                             out,
-                            "  o{occ} -> o{target} [color=red, label=\"c{chan}\"];"
+                            "  o{occ} -> o{target} [color=red, label=\"r{run}\"];"
                         );
                     }
                 }

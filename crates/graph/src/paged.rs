@@ -7,24 +7,25 @@
 //! The in-memory cost becomes `static component + edge headers + tile
 //! index + resident pages + materialized shortcut closures`; slicing pays
 //! an I/O penalty only on page misses. The spill file is the graph's label
-//! arena ([`CompactGraph`]'s channels end to end, each sorted by use
+//! arena ([`CompactGraph`]'s runs end to end, each sorted by use
 //! timestamp) cut into tiles of 256 pairs, one 4 KiB page each: a tile
-//! holds its 256 use timestamps, then their 256 definition timestamps,
-//! and tile `t` sits at byte `t * 4096` (only the last tile is short,
-//! with `n` of each). The tile index is the graph's channel offsets,
-//! kept when the labels are drained, plus each tile's first use
-//! timestamp. A channel that lies in one tile finds it by
-//! arithmetic; only a channel that spans tiles searches the first use
+//! holds its 256 use timestamps, then their 256 stored definition
+//! timestamps (owner bits included), and tile `t` sits at byte `t * 4096`
+//! (only the last tile is short, with `n` of each). The tile index is the
+//! graph's run offsets, kept when the labels are drained, plus each
+//! tile's first use timestamp. A run that lies in one tile finds it by
+//! arithmetic; only a run that spans tiles searches the first use
 //! timestamps of its own tiles. Either way a lookup touches exactly one
-//! page, and all spill geometry is checked `u64` arithmetic in one place.
+//! page, a resolution nearly always makes one lookup, and all spill
+//! geometry is checked `u64` arithmetic in one place.
 //!
 //! Slicing is OPT's own traversal ([`CompactGraph`]'s shortcut walk, or
 //! its plain walk when [`PagedGraph::shortcuts`] is off): this module only
 //! supplies the labels, through a per-query `PageReader`. The shortcut
 //! closures live in the drained graph's memo exactly as they do for OPT.
 //!
-//! Pages are small on purpose. Most channels hold a handful of pairs, so a
-//! miss should fetch little more than the channel it needs; the resident
+//! Pages are small on purpose. Most runs hold a handful of pairs, so a
+//! miss should fetch little more than the run it needs; the resident
 //! budget is counted in pages (the default 128 pages is 512 KiB of labels).
 //!
 //! # Concurrency
@@ -248,7 +249,7 @@ impl SpillFile {
 /// A compacted graph whose timestamp-pair lists live on disk.
 #[derive(Debug)]
 pub struct PagedGraph {
-    /// The underlying graph, with its label columns drained; its channel
+    /// The underlying graph, with its label columns drained; its run
     /// offsets index the spilled arena.
     graph: CompactGraph,
     path: PathBuf,
@@ -258,7 +259,7 @@ pub struct PagedGraph {
     spill: SpillFile,
     /// Pairs in the spilled arena.
     pairs: u64,
-    /// The first use timestamp of each tile: a channel that spans tiles
+    /// The first use timestamp of each tile: a run that spans tiles
     /// finds its tile by a search over its own tiles' entries.
     tile_first: Vec<u64>,
     /// Sharded resident tile cache; tile `t` lives in shard
@@ -405,10 +406,10 @@ impl PagedGraph {
         self.graph.resident_size().bytes() + self.index_bytes() + self.resident_block_bytes()
     }
 
-    /// Bytes of the tile index: the channel offsets and each tile's
+    /// Bytes of the tile index: the run offsets and each tile's
     /// first use timestamp.
     fn index_bytes(&self) -> u64 {
-        (self.graph.labels.num_channels() + 1 + self.tile_first.len()) as u64 * 8
+        (self.graph.labels.num_runs() + 1 + self.tile_first.len()) as u64 * 8
     }
 
     /// Bytes spilled to disk.
@@ -556,14 +557,14 @@ impl<'g> PageReader<'g> {
 impl LabelSearch for PageReader<'_> {
     type Error = io::Error;
 
-    fn search(&mut self, chan: u32, tu: u64) -> io::Result<Option<u64>> {
-        let (a, b) = self.graph.graph.labels.bounds(chan);
+    fn search(&mut self, run: u32, tu: u64) -> io::Result<Option<u64>> {
+        let (a, b) = self.graph.graph.labels.bounds(run);
         if a == b {
             return Ok(None);
         }
         let tile_pairs = BLOCK_PAIRS as u64;
         let (first, last) = (a / tile_pairs, (b - 1) / tile_pairs);
-        // A channel in one tile finds it by arithmetic; one that spans
+        // A run in one tile finds it by arithmetic; one that spans
         // tiles searches the first use timestamps of the tiles it starts.
         let tile = if first == last {
             first
@@ -617,7 +618,7 @@ mod tests {
            a[0] = s;
          }";
 
-    /// A program whose single channel spans many spill blocks.
+    /// A program whose single run spans many spill blocks.
     const MANY_BLOCKS_SRC: &str = "global int a[1];
          fn main() {
            int i;
@@ -923,10 +924,10 @@ mod tests {
 
     /// At two resident pages, the paged slice of a 3,000-iteration loop
     /// reads each of its tiles about once. The walk alternates between two
-    /// long channels; probed longest first, each resolution's first search
-    /// hits, so the two pin slots hold one tile of each. Probed in
-    /// discovery order, a one-pair channel came first and the same slice
-    /// made 1,878 misses.
+    /// long rows, each of whose labels are one run, so each resolution
+    /// makes one lookup and the two pin slots hold one tile of each. With
+    /// each row's channels probed in discovery order, a one-pair channel
+    /// came first and the same slice made 1,878 misses.
     #[test]
     fn loop_slice_at_two_pages_reads_each_tile_about_once() {
         let src = "global int a[1];

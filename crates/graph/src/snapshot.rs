@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! magic   8 bytes  b"DSNAPV1\0"  (a fixed file tag; the version is the next field)
-//! version u32      FORMAT_VERSION (2)
+//! version u32      FORMAT_VERSION (3)
 //! digest  u64      FNV-1a over (source, input, config) — provenance key
 //! then sections, in fixed order, each framed as:
 //!   tag      u8
@@ -28,23 +28,39 @@
 //!   checksum u64   checksum(payload)
 //! ```
 //!
-//! Version 2 changed only the section checksum, from byte-serial FNV-1a
-//! to [`checksum`], a four-lane word-at-a-time sum; the payloads are the
-//! same bytes version 1 wrote. A version-1 file decodes to
+//! Version 2 changed the section checksum, from byte-serial FNV-1a to
+//! [`checksum`], a four-lane word-at-a-time sum. Version 3 changed the
+//! `dyn` section, from one pair list per channel and one edge list per
+//! key to the graph's label runs and edge rows as they lie in memory. A
+//! file of an earlier version decodes to
 //! [`SnapshotError::UnsupportedVersion`], which the session manager's
 //! digest-keyed cache treats as a miss and overwrites. FNV-1a remains
 //! only in [`digest`], whose value names cache files, so cache file
 //! names did not change.
 //!
-//! Sections: `source`, `input`, `config`, `nodes`, `dyn` (channels +
-//! dynamic edge lists), `criteria` (last-def map, outputs, execution
-//! count), `stats`. Hash maps and edge lists are serialized with keys
-//! sorted, so encoding is deterministic: the same graph always produces
-//! the same bytes. The `dyn` channels decode straight into the graph's
-//! label arena, and its lists into the compressed-sparse-row edge arrays,
-//! so their key order is checked, not assumed. Each list's edges are
-//! written in ascending channel id; the graph probes them longest channel
-//! first, and decoding puts them back in that order.
+//! Sections: `source`, `input`, `config`, `nodes`, `dyn` (label runs +
+//! dynamic edge rows), `criteria` (last-def map, outputs, execution
+//! count), `stats`. Hash maps are serialized with keys sorted, so
+//! encoding is deterministic: the same graph always produces the same
+//! bytes. The `dyn` section is seven length-prefixed arrays, as the graph
+//! holds them:
+//!
+//! ```text
+//! run offsets      u64 × (runs + 1)   run r is pairs start[r]..start[r + 1]
+//! use timestamps   u64 × pairs        strictly ascending within a run
+//! stored td        u64 × pairs        owner index << 48 | definition ts
+//! data row offsets u32 × (use slots + 1)
+//! data edges       (target u32, run u32) × edges
+//! cd row offsets   u32 × (occurrences + 1)
+//! cd edges         (target u32, run u32) × edges
+//! ```
+//!
+//! A row's edges that share a run are adjacent, and a stored pair's owner
+//! index names one of them (see [`crate::compact`]). Decoding copies the
+//! arrays and checks what the walk relies on: offsets that ascend from 0
+//! to their array's length, one row per use slot or occurrence, runs that
+//! strictly ascend, and edges that name an occurrence and a run that
+//! exist, the run's owners all below the row's edges that share it.
 //!
 //! # Integrity
 //!
@@ -56,9 +72,8 @@
 //! decoded source/input/config and refuses a file whose header digest
 //! disagrees. Round-trip bit-identity (`encode` → `decode` →
 //! [`CompactGraph::first_difference`] `== None`) is pinned by the
-//! differential test suite; the decoder reassembles channels through a
-//! constructor that does **not** re-sort them, because
-//! `sort_unstable_by_key` may permute equal-key pairs.
+//! differential test suite; the decoder copies the arrays and sorts
+//! nothing.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -69,7 +84,7 @@ use std::path::Path;
 use dynslice_ir::{BlockId, FuncId, StmtId, VarId};
 use dynslice_runtime::Cell;
 
-use crate::compact::{CompactGraph, EdgeRows, EdgeRowsBuilder, Labels, NONE_TARGET};
+use crate::compact::{unpack, CompactGraph, EdgeRows, Labels, NONE_TARGET};
 use crate::nodes::{
     CdRes, NodeData, NodeGraph, NodeKind, OptConfig, SpecPolicy, UseRes, UseRows, UseShape,
 };
@@ -79,7 +94,7 @@ use crate::size::{BuildStats, OptKind};
 pub const MAGIC: [u8; 8] = *b"DSNAPV1\0";
 
 /// Bumped on any breaking change to the file layout or its checksums.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot failed to decode. Every variant is a recoverable,
 /// typed condition: corruption can never panic or produce a wrong graph.
@@ -428,58 +443,28 @@ fn encode_nodes(buf: &mut Vec<u8>, n: &NodeGraph) {
     put_u32(buf, n.num_groups);
 }
 
-/// One dynamic edge list of the DYN section: its key and edges.
-type EdgeList<'g, K> = (K, &'g [(u32, u32)]);
-
 fn encode_dyn(buf: &mut Vec<u8>, g: &CompactGraph) {
-    let data: Vec<_> = g.data_edge_lists().collect();
-    let cd: Vec<_> = g.cd_dyn.rows().map(|(key, edges)| (key as u32, edges)).collect();
-    put_dyn(buf, &g.labels, &data, &cd);
+    put_dyn(buf, &g.labels, &g.data_dyn, &g.cd_dyn);
 }
 
-/// Writes a DYN payload: the channels, then the data and control edge
-/// lists in the order given (ascending keys, as the decoder requires).
-/// Each list's edges are written in ascending channel id (then target),
-/// whatever order the graph probes them in; the decoder puts them back in
-/// probe order.
-fn put_dyn(
-    buf: &mut Vec<u8>,
-    labels: &Labels,
-    data: &[EdgeList<'_, (u32, u8)>],
-    cd: &[EdgeList<'_, u32>],
-) {
-    let mut sorted = Vec::new();
-    let mut put_edges = |buf: &mut Vec<u8>, edges: &[(u32, u32)]| {
-        sorted.clear();
-        sorted.extend(edges.iter().map(|&(target, chan)| (chan, target)));
-        sorted.sort_unstable();
-        put_len(buf, edges.len());
-        for &(chan, target) in &sorted {
+/// Writes a DYN payload in memory order: the label arena's run offsets,
+/// use timestamps and stored definition timestamps, then the data and the
+/// control edge rows, each as its row offsets and its `(target, run)`
+/// edges. Every one is a length-prefixed array.
+fn put_dyn(buf: &mut Vec<u8>, labels: &Labels, data: &EdgeRows, cd: &EdgeRows) {
+    buf.reserve(8 * (labels.start.len() + 2 * labels.tu.len() + 3));
+    for column in [&labels.start, &labels.tu, &labels.td] {
+        put_len(buf, column.len());
+        column.iter().for_each(|&v| put_u64(buf, v));
+    }
+    for rows in [data, cd] {
+        put_len(buf, rows.start.len());
+        rows.start.iter().for_each(|&v| put_u32(buf, v));
+        put_len(buf, rows.edges.len());
+        for &(target, run) in &rows.edges {
             put_u32(buf, target);
-            put_u32(buf, chan);
+            put_u32(buf, run);
         }
-    };
-    put_len(buf, labels.num_channels());
-    for chan in 0..labels.num_channels() as u32 {
-        let (a, b) = labels.bounds(chan);
-        let len = (b - a) as usize;
-        put_len(buf, len);
-        buf.reserve(len * 16);
-        for (td, tu) in labels.channel(chan) {
-            put_u64(buf, td);
-            put_u64(buf, tu);
-        }
-    }
-    put_len(buf, data.len());
-    for &((occ, k), edges) in data {
-        put_u32(buf, occ);
-        put_u8(buf, k);
-        put_edges(buf, edges);
-    }
-    put_len(buf, cd.len());
-    for &(key, edges) in cd {
-        put_u32(buf, key);
-        put_edges(buf, edges);
     }
 }
 
@@ -869,90 +854,83 @@ fn decode_nodes(r: &mut Reader<'_>) -> Result<NodeGraph, SnapshotError> {
 /// The label arena and the data and control edge rows.
 type DynArenas = (Labels, EdgeRows, EdgeRows);
 
-/// Decodes the DYN section straight into edge rows. Its keys were written
-/// in ascending order; a key out of order, repeated, naming an occurrence
-/// or use slot `nodes` lacks, or carrying no edges, and an edge to an
-/// occurrence `nodes` lacks, is corruption.
+fn decode_u64_vec(r: &mut Reader<'_>) -> Result<Vec<u64>, SnapshotError> {
+    Ok(r.array(8)?.chunks_exact(8).map(le_u64).collect())
+}
+
+/// Decodes the DYN section, a copy of the arrays the graph holds, checking
+/// the run offsets, that each run's use timestamps strictly ascend, and
+/// the edge rows ([`decode_rows`]).
 fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, SnapshotError> {
-    let num_channels = r.len(8)?;
-    let channels = (0..num_channels).map(|_| r.array(16)).collect::<Result<Vec<_>, _>>()?;
-    let mut labels =
-        Labels::with_capacity(num_channels, channels.iter().map(|c| c.len() / 16).sum());
-    for pairs in channels {
-        let pairs = pairs.chunks_exact(16);
-        labels.push_channel(pairs.clone().map(|p| le_u64(&p[8..])), pairs.map(|p| le_u64(&p[..8])));
+    let (start, tu, td) = (decode_u64_vec(r)?, decode_u64_vec(r)?, decode_u64_vec(r)?);
+    let pairs = tu.len() as u64;
+    let covers = start.first() == Some(&0) && start.last() == Some(&pairs) && start.is_sorted();
+    if !covers || td.len() != tu.len() {
+        return Err(r.corrupt(format!("run offsets do not ascend from 0 to the {pairs} pairs")));
     }
-    let chan_count = num_channels as u64;
+    // The largest owner index each run's stored pairs name.
+    let mut owners = Vec::with_capacity(start.len() - 1);
+    for (run, w) in start.windows(2).enumerate() {
+        let (a, b) = (w[0] as usize, w[1] as usize);
+        if let Some(p) = tu[a..b].windows(2).find(|p| p[0] >= p[1]) {
+            let (x, y) = (p[0], p[1]);
+            return Err(r.corrupt(format!("run {run}: use timestamps {x}, {y} must strictly ascend")));
+        }
+        owners.push(td[a..b].iter().map(|&d| unpack(d).0).max().unwrap_or(0));
+    }
     let num_occs = nodes.num_occs();
-    let mut total_edges = 0usize;
-    let mut edges = Vec::new();
-    // One key's edge list, into `edges`.
-    let mut decode_edges = |r: &mut Reader<'_>, key: &dyn fmt::Debug, edges: &mut Vec<_>| {
-        let raw = r.array(8)?;
-        if raw.is_empty() {
-            return Err(r.corrupt(format!("edge key {key:?} has an empty edge list")));
-        }
-        total_edges += raw.len() / 8;
-        if total_edges > u32::MAX as usize {
-            return Err(r.corrupt(format!("{total_edges} edges overflow the u32 row offsets")));
-        }
-        edges.clear();
-        for e in raw.chunks_exact(8) {
-            let (target, chan) = (le_u32(&e[..4]), le_u32(&e[4..]));
-            if chan as u64 >= chan_count {
-                return Err(r.corrupt(format!("edge references channel {chan} of {chan_count}")));
-            }
-            if target != NONE_TARGET && target as usize >= num_occs {
-                return Err(r.corrupt(format!("edge targets occurrence {target} of {num_occs}")));
-            }
-            edges.push((target, chan));
-        }
-        Ok(())
-    };
-    let num_data = r.len(13)?;
-    let mut data_dyn = EdgeRowsBuilder::new(nodes.use_res.num_slots(), &labels);
-    let mut prev = None;
-    for _ in 0..num_data {
-        let key = (r.u32()?, r.u8()?);
-        let (occ, k) = key;
-        if let Some(p) = prev.filter(|&p| p >= key) {
-            return Err(r.corrupt(format!(
-                "data edge key {key:?} follows {p:?}: keys must ascend without repeats"
-            )));
-        }
-        prev = Some(key);
-        if occ as usize >= num_occs {
-            return Err(r.corrupt(format!("data edge key {key:?}: occurrence {occ} of {num_occs}")));
-        }
-        let uses = nodes.use_res[occ as usize].len();
-        if k as usize >= uses {
-            return Err(r.corrupt(format!(
-                "data edge key {key:?}: occurrence {occ} has {uses} use slots"
-            )));
-        }
-        decode_edges(r, &key, &mut edges)?;
-        data_dyn.push(nodes.use_res.slot(occ, k) as usize, &edges);
-    }
-    let num_cd = r.len(12)?;
-    let mut cd_dyn = EdgeRowsBuilder::new(num_occs, &labels);
-    let mut prev = None;
-    for _ in 0..num_cd {
-        let key = r.u32()?;
-        if let Some(p) = prev.filter(|&p| p >= key) {
-            return Err(r.corrupt(format!(
-                "control edge key {key} follows {p}: keys must ascend without repeats"
-            )));
-        }
-        prev = Some(key);
-        if key as usize >= num_occs {
-            return Err(r.corrupt(format!("control edge key: occurrence {key} of {num_occs}")));
-        }
-        decode_edges(r, &key, &mut edges)?;
-        cd_dyn.push(key as usize, &edges);
-    }
+    let data_dyn = decode_rows(r, nodes.use_res.num_slots(), num_occs, &owners)?;
+    let cd_dyn = decode_rows(r, num_occs, num_occs, &owners)?;
     r.done()?;
-    let (data_dyn, cd_dyn) = (data_dyn.finish(), cd_dyn.finish());
-    Ok((labels, data_dyn, cd_dyn))
+    Ok((Labels { start, tu, td }, data_dyn, cd_dyn))
+}
+
+/// Decodes one kind of edge rows: `num_rows` rows of edges to one of
+/// `num_occs` occurrences (or none) through one of the runs whose largest
+/// stored owners are `owners`. A run's owner indexes the adjacent edges of
+/// a row that share the run, so it must be below their count; a stored
+/// definition timestamp at or above 2^48 reads as an owner past 0.
+fn decode_rows(
+    r: &mut Reader<'_>,
+    num_rows: usize,
+    num_occs: usize,
+    owners: &[usize],
+) -> Result<EdgeRows, SnapshotError> {
+    let start = decode_u32_vec(r)?;
+    let edges: Vec<(u32, u32)> =
+        r.array(8)?.chunks_exact(8).map(|e| (le_u32(&e[..4]), le_u32(&e[4..]))).collect();
+    if start.len() != num_rows + 1
+        || start[0] != 0
+        || start[num_rows] as usize != edges.len()
+        || !start.is_sorted()
+    {
+        let detail = format!(
+            "{} row offsets for {num_rows} rows do not ascend from 0 to the {} edges",
+            start.len(),
+            edges.len()
+        );
+        return Err(r.corrupt(detail));
+    }
+    if let Some(&(target, _)) =
+        edges.iter().find(|&&(t, _)| t != NONE_TARGET && t as usize >= num_occs)
+    {
+        return Err(r.corrupt(format!("edge targets occurrence {target} of {num_occs}")));
+    }
+    for w in start.windows(2) {
+        for group in edges[w[0] as usize..w[1] as usize].chunk_by(|a, b| a.1 == b.1) {
+            let run = group[0].1;
+            let Some(&owner) = owners.get(run as usize) else {
+                return Err(r.corrupt(format!("edge names run {run} of {}", owners.len())));
+            };
+            if owner >= group.len() {
+                return Err(r.corrupt(format!(
+                    "run {run} names owner {owner}, but a row has {} edges sharing it",
+                    group.len()
+                )));
+            }
+        }
+    }
+    Ok(EdgeRows { start, edges })
 }
 
 type Criteria = (HashMap<Cell, (u32, u64)>, Vec<(u32, u64)>, u64);
@@ -1205,69 +1183,99 @@ mod tests {
         assert_eq!(encode(&back), bytes);
     }
 
-    /// A graph probes each edge row longest channel first, but the DYN
-    /// section lists every row in ascending channel id, so its bytes do
-    /// not depend on the probe order: on a graph where the two orders
-    /// differ, decoding restores the probe order and re-encoding gives the
-    /// same bytes.
-    #[test]
-    fn rows_are_written_by_channel_id_and_read_back_in_probe_order() {
-        let source = "global int a[1];
+    /// A graph whose labels have a shared run and a run with two or more
+    /// owners: `a` and `b` are defined together in one block and first
+    /// used together in another (an OPT-3 group, so their edges share
+    /// labels), and the loads of `m` have two dynamic definitions each.
+    /// Without path specialization the `if` body and the block after it
+    /// are separate nodes, so those uses have dynamic edges.
+    fn shared_sample() -> Snapshot {
+        let source = "global int m[2];
              fn main() {
                int i;
-               for (i = 0; i < 300; i = i + 1) { a[0] = a[0] + i; }
-               print a[0];
+               int a = 0;
+               int b = 0;
+               for (i = 0; i < 40; i = i + 1) {
+                 if (i % 3 == 0) { a = i; b = i + 1; m[i % 2] = a; } else { m[(i + 1) % 2] = b; }
+                 print a + b + m[i % 2];
+               }
              }"
         .to_string();
-        let config = OptConfig::default();
+        let config = OptConfig { spec: SpecPolicy::None, ..OptConfig::default() };
         let p = dynslice_lang::compile(&source).expect("compiles");
         let a = ProgramAnalysis::compute(&p);
         let t = run(&p, VmOptions::default());
         let graph = build_compact(&p, &a, &t.events, &config);
-        let by_id = |row: &[(u32, u32)]| row.windows(2).all(|w| w[0].1 < w[1].1);
-        let rows = || graph.data_dyn.rows().chain(graph.cd_dyn.rows());
-        assert!(rows().any(|(_, row)| !by_id(row)), "probe order is id order in every row");
+        Snapshot { source, input: Vec::new(), config, graph }
+    }
 
-        let mut payload = Vec::new();
-        encode_dyn(&mut payload, &graph);
-        let mut r = Reader::new(&payload, "dyn");
-        for _ in 0..r.len(8).unwrap() {
-            r.array(16).unwrap();
-        }
-        let mut written = 0;
-        for key_bytes in [5, 4] {
-            for _ in 0..r.len(13).unwrap() {
-                r.take(key_bytes).unwrap();
-                let edges: Vec<_> = r
-                    .array(8)
-                    .unwrap()
-                    .chunks_exact(8)
-                    .map(|e| (le_u32(&e[..4]), le_u32(&e[4..])))
-                    .collect();
-                assert!(by_id(&edges), "written out of channel order: {edges:?}");
-                written += 1;
+    /// Every row's groups of adjacent edges sharing a run, as `(row kind
+    /// and index, run, edges in the group)`.
+    fn run_groups(g: &CompactGraph) -> Vec<((bool, usize), u32, usize)> {
+        let mut out = Vec::new();
+        for (control, rows) in [(false, &g.data_dyn), (true, &g.cd_dyn)] {
+            for (r, row) in rows.rows() {
+                for group in row.chunk_by(|a, b| a.1 == b.1) {
+                    out.push(((control, r), group[0].1, group.len()));
+                }
             }
         }
-        r.done().unwrap();
-        assert_eq!(written, rows().count());
+        out
+    }
 
-        let snap = Snapshot { source, input: Vec::new(), config, graph };
+    /// The DYN section is the graph's arrays in memory order, so decoding
+    /// copies them back: on a graph with a shared run and a multi-owner
+    /// run, `encode(decode(b)) == b` and the graphs are bit-identical.
+    #[test]
+    fn encode_of_decode_is_identity_with_shared_and_multi_owner_runs() {
+        let snap = shared_sample();
+        let groups = run_groups(&snap.graph);
+        let rows_of = |run| groups.iter().filter(|g| g.1 == run).count();
+        assert!(groups.iter().any(|g| rows_of(g.1) > 1), "no shared run: {groups:?}");
+        assert!(groups.iter().any(|g| g.2 > 1), "no multi-owner run: {groups:?}");
         let bytes = encode(&snap);
         let back = decode(&bytes).expect("round trip");
         assert_eq!(snap.graph.first_difference(&back.graph), None);
         assert_eq!(encode(&back), bytes);
     }
 
-    /// `snap` encoded with its DYN section replaced by `data` and `cd`,
-    /// re-checksummed, so only the decoder's own checks can object.
-    fn with_dyn_lists(
-        snap: &Snapshot,
-        data: &[EdgeList<'_, (u32, u8)>],
-        cd: &[EdgeList<'_, u32>],
-    ) -> Vec<u8> {
+    /// `snap` encoded with its DYN section written from `labels`, `data`
+    /// and `cd`, re-checksummed, so only the decoder's own checks can
+    /// object.
+    fn with_dyn(snap: &Snapshot, labels: &Labels, data: &EdgeRows, cd: &EdgeRows) -> Vec<u8> {
         let mut payload = Vec::new();
-        put_dyn(&mut payload, &snap.graph.labels, data, cd);
+        put_dyn(&mut payload, labels, data, cd);
         with_section(&encode(snap), TAG_DYN, &payload)
+    }
+
+    /// Copies of a graph's label columns and edge rows, to corrupt.
+    struct DynParts {
+        start: Vec<u64>,
+        tu: Vec<u64>,
+        td: Vec<u64>,
+        data: (Vec<u32>, Vec<(u32, u32)>),
+        cd: (Vec<u32>, Vec<(u32, u32)>),
+    }
+
+    impl DynParts {
+        fn of(g: &CompactGraph) -> Self {
+            let (labels, rows) = (&g.labels, |r: &EdgeRows| (r.start.clone(), r.edges.clone()));
+            DynParts {
+                start: labels.start.clone(),
+                tu: labels.tu.clone(),
+                td: labels.td.clone(),
+                data: rows(&g.data_dyn),
+                cd: rows(&g.cd_dyn),
+            }
+        }
+
+        /// `snap` with its DYN section written from these parts.
+        fn encode(self, snap: &Snapshot) -> Vec<u8> {
+            let labels = Labels { start: self.start, tu: self.tu, td: self.td };
+            let data = EdgeRows { start: self.data.0, edges: self.data.1 };
+            let cd = EdgeRows { start: self.cd.0, edges: self.cd.1 };
+            with_dyn(snap, &labels, &data, &cd)
+        }
     }
 
     /// `bytes` with section `tag`'s payload replaced and re-checksummed.
@@ -1314,55 +1322,82 @@ mod tests {
         }
     }
 
-    /// The DYN section decodes straight into edge rows, so its keys must
-    /// ascend: unsorted or repeated keys, keys naming a missing
-    /// occurrence or use slot, empty lists and edges to a missing
-    /// occurrence are each typed corruption.
-    /// The encoder's own lists still decode and re-encode to the same
-    /// bytes through the same writer.
+    /// The DYN section decodes straight into the graph's arrays, so what
+    /// the walk relies on is checked: run and row offsets that do not
+    /// ascend from 0 to their column's length, a row count that is not the
+    /// graph's, and edges to a missing occurrence or run are each typed
+    /// corruption. The encoder's own arrays decode and re-encode to the
+    /// same bytes through the same writer.
     #[test]
-    fn dyn_key_order_and_range_are_enforced() {
-        let snap = sample();
+    fn dyn_offsets_and_edge_ranges_are_enforced() {
+        let snap = shared_sample();
         let g = &snap.graph;
-        let data: Vec<_> = g.data_edge_lists().collect();
-        let cd: Vec<_> = g.cd_dyn.rows().map(|(key, edges)| (key as u32, edges)).collect();
-        assert!(data.len() >= 2 && cd.len() >= 2, "sample needs two lists of each kind");
-        let intact = with_dyn_lists(&snap, &data, &cd);
+        let intact = DynParts::of(g).encode(&snap);
         assert_eq!(intact, encode(&snap));
         assert_eq!(encode(&decode(&intact).unwrap()), intact);
 
-        let mut swapped = data.clone();
-        swapped.swap(0, 1);
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &swapped, &cd), "ascend");
-        let mut repeated = data.clone();
-        repeated.insert(1, data[0]);
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &repeated, &cd), "ascend");
+        let mut p = DynParts::of(g);
+        p.start.swap(1, 2);
+        assert_dyn_corrupt(&p.encode(&snap), "run offsets");
+        let mut p = DynParts::of(g);
+        p.td.pop();
+        assert_dyn_corrupt(&p.encode(&snap), "run offsets");
+        let mut p = DynParts::of(g);
+        let last = p.data.0.len() - 1;
+        p.data.0.swap(1, last);
+        assert_dyn_corrupt(&p.encode(&snap), "row offsets");
+        let mut p = DynParts::of(g);
+        p.cd.0.pop();
+        assert_dyn_corrupt(&p.encode(&snap), "row offsets");
         let num_occs = g.nodes.num_occs() as u32;
-        let mut past_occs = data.clone();
-        past_occs.push(((num_occs, 0), data[0].1));
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &past_occs, &cd), "occurrence");
-        let ((occ, _), edges) = *data.last().unwrap();
-        let uses = g.nodes.use_res[occ as usize].len() as u8;
-        let mut past_uses = data.clone();
-        past_uses.push(((occ, uses), edges));
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &past_uses, &cd), "use slots");
-        let mut empty = data.clone();
-        empty[0].1 = &[];
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &empty, &cd), "empty edge list");
-        let stray = [(num_occs, data[0].1[0].1)];
-        let mut past_target = data.clone();
-        past_target[0].1 = &stray;
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &past_target, &cd), "targets occurrence");
+        let mut p = DynParts::of(g);
+        p.data.1[0].0 = num_occs;
+        assert_dyn_corrupt(&p.encode(&snap), "targets occurrence");
+        let mut p = DynParts::of(g);
+        p.cd.1[0].1 = g.labels.num_runs() as u32;
+        assert_dyn_corrupt(&p.encode(&snap), "names run");
+    }
 
-        let mut swapped = cd.clone();
-        swapped.swap(0, 1);
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &data, &swapped), "ascend");
-        let mut repeated = cd.clone();
-        repeated.insert(1, cd[0]);
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &data, &repeated), "ascend");
-        let mut past_occs = cd.clone();
-        past_occs.push((num_occs, cd[0].1));
-        assert_dyn_corrupt(&with_dyn_lists(&snap, &data, &past_occs), "occurrence");
+    /// A run whose use timestamps repeat or descend is corruption: a
+    /// binary search over it could miss a timestamp it holds.
+    #[test]
+    fn runs_must_strictly_ascend() {
+        let snap = shared_sample();
+        let start = &snap.graph.labels.start;
+        let run = start.windows(2).position(|w| w[1] - w[0] >= 2).expect("a run of two pairs");
+        let a = start[run] as usize;
+        for (first, second) in [(7, 7), (9, 8)] {
+            let mut p = DynParts::of(&snap.graph);
+            (p.tu[a], p.tu[a + 1]) = (first, second);
+            assert_dyn_corrupt(&p.encode(&snap), "strictly ascend");
+        }
+    }
+
+    /// A stored owner index must name one of the adjacent edges of a row
+    /// that share its run, or the walk would take the wrong edge.
+    #[test]
+    fn owners_must_be_in_range() {
+        let snap = shared_sample();
+        let g = &snap.graph;
+        let (_, run, edges) = *run_groups(g).iter().find(|g| g.2 > 1).expect("a multi-owner run");
+        let (a, _) = g.labels.bounds(run);
+        let mut p = DynParts::of(g);
+        p.td[a as usize] = unpack(p.td[a as usize]).1 | (edges as u64) << 48;
+        assert_dyn_corrupt(&p.encode(&snap), "owner");
+    }
+
+    /// A definition timestamp at or above 2^48 in a run with one owner
+    /// leaves bits in the owner index, which then names an edge the row
+    /// does not have.
+    #[test]
+    fn definition_timestamps_past_48_bits_are_corrupt() {
+        let snap = shared_sample();
+        let g = &snap.graph;
+        let (_, run, _) = *run_groups(g).iter().find(|g| g.2 == 1).expect("a one-owner run");
+        let (a, _) = g.labels.bounds(run);
+        let mut p = DynParts::of(g);
+        p.td[a as usize] = crate::compact::TS_LIMIT;
+        assert_dyn_corrupt(&p.encode(&snap), "owner 1");
     }
 
     /// The stats section lists each nonzero optimization count once, in
@@ -1459,14 +1494,16 @@ mod tests {
         assert_eq!(sums.len(), zeros.len() + 1, "length is part of the checksum");
     }
 
-    /// A version-1 file (FNV-1a section checksums) is refused by its
-    /// version field before any section is read, so callers can treat it
-    /// as stale rather than corrupt.
+    /// Files of earlier versions (1: FNV-1a section checksums; 2: labels
+    /// as channels) are refused by their version field before any section
+    /// is read, so callers can treat them as stale rather than corrupt.
     #[test]
-    fn version_one_files_are_unsupported() {
-        let mut bytes = encode(&sample());
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(decode(&bytes), Err(SnapshotError::UnsupportedVersion(1))));
+    fn earlier_versions_are_unsupported() {
+        for version in [1, 2] {
+            let mut bytes = encode(&sample());
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(version));
+            assert!(matches!(decode(&bytes), Err(SnapshotError::UnsupportedVersion(v)) if v == version));
+        }
     }
 
     #[test]

@@ -67,10 +67,12 @@ fn check_seed(seed: u64, alias_pct: u64, recursion: bool) {
         OptConfig { spec: SpecPolicy::None, ..OptConfig::default() },
     ];
     let opts: Vec<_> = configs.iter().map(|c| session.opt(&trace, c)).collect();
-    // Rows are probed longest channel first, which answers as the built
-    // order does only while no two edges of a row hold one use timestamp.
+    // A row's own labels are one run and a resolution reads its owner off
+    // the hit, which answers as the edges do only while no two edges of a
+    // row hold one use timestamp and every run strictly ascends.
     for (i, o) in opts.iter().enumerate() {
         assert_eq!(o.graph().shared_row_timestamps(), 0, "seed {seed} cfg {i}\n{src}");
+        assert_eq!(o.graph().unsorted_runs(), 0, "seed {seed} cfg {i}\n{src}");
     }
     let dir = diff_dir();
     let lp = session.lp(&trace, dir.join(format!("d{seed}-{alias_pct}-{recursion}.bin"))).unwrap();
