@@ -590,19 +590,19 @@ impl CompactGraph {
         outputs: Vec<(u32, u64)>,
         num_node_execs: u64,
     ) -> Self {
-        let (plan, [data_dyn, cd_dyn]) = RunPlan::lay_out(store.last.len(), [&store.data_dyn, &store.cd_dyn]);
-        let labels = Labels::from_log(store.tu, store.td, store.chan, &plan);
+        let DynStore { tu, td, chan, last, data_dyn: data, cd_dyn: cd, group_chan } = store;
+        let (plan, [data_dyn, cd_dyn]) = RunPlan::lay_out(last.len(), [&data, &cd]);
+        drop((last, data, cd, group_chan)); // the log alone becomes the arena
+        let labels = Labels::from_log(tu, td, chan, &plan);
         Self::from_parts(nodes, labels, data_dyn, cd_dyn, last_def, outputs, stats, num_node_execs)
     }
 
-    /// Reassembles a graph from already-final arenas — the snapshot
-    /// reader's constructor, and the builder's last step. The snapshot
-    /// holds the runs and rows as laid out in memory, so a restore copies
-    /// them and [`CompactGraph::first_difference`] finds the round trip
-    /// bit-identical. `data_dyn` has one row per use slot of `nodes`
+    /// Reassembles a graph from final arenas — the builder's last step,
+    /// and the snapshot reader's, which copies them as laid out in memory.
+    /// `data_dyn` has one row per use slot of `nodes`
     /// ([`crate::nodes::UseRows::slot`]). The shortcut memo is derived
-    /// state (excluded from `first_difference`) and starts empty, as does
-    /// the walk-memo high-water mark.
+    /// state (excluded from [`CompactGraph::first_difference`]) and starts
+    /// empty, as does the walk-memo high-water mark.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         nodes: NodeGraph,
@@ -1053,11 +1053,9 @@ impl CompactGraph {
     }
 
     /// Use timestamps held more than once among the runs of one dynamic
-    /// edge row, counted once per extra holder. A run's timestamps strictly
-    /// ascend, so within a run this is structural; a row that also reaches
-    /// shared runs takes the first run that holds its timestamp, so the
-    /// order of its runs changes no answer only while this is zero. The
-    /// columns must be resident (not drained).
+    /// edge row, counted once per extra holder. A row takes the first of
+    /// its runs that holds a timestamp, so their order changes no answer
+    /// only while this is zero. The columns must be resident.
     pub fn shared_row_timestamps(&self) -> u64 {
         let mut tus = Vec::new();
         let mut shared = 0;
