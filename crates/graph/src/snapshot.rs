@@ -452,7 +452,8 @@ fn encode_dyn(buf: &mut Vec<u8>, g: &CompactGraph) {
 /// control edge rows, each as its row offsets and its `(target, run)`
 /// edges. Every one is a length-prefixed array.
 fn put_dyn(buf: &mut Vec<u8>, labels: &Labels, data: &EdgeRows, cd: &EdgeRows) {
-    buf.reserve(8 * (labels.start.len() + 2 * labels.tu.len() + 3));
+    let rows_bytes = |r: &EdgeRows| 16 + 4 * r.start.len() + 8 * r.edges.len();
+    buf.reserve(24 + 8 * (labels.start.len() + 2 * labels.tu.len()) + rows_bytes(data) + rows_bytes(cd));
     for column in [&labels.start, &labels.tu, &labels.td] {
         put_len(buf, column.len());
         column.iter().for_each(|&v| put_u64(buf, v));
@@ -505,6 +506,7 @@ fn encode_stats(buf: &mut Vec<u8>, s: &BuildStats) {
 }
 
 fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+    out.reserve_exact(17 + payload.len());
     put_u8(out, tag);
     put_len(out, payload.len());
     out.extend_from_slice(payload);
