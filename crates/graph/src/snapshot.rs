@@ -452,8 +452,6 @@ fn encode_dyn(buf: &mut Vec<u8>, g: &CompactGraph) {
 /// control edge rows, each as its row offsets and its `(target, run)`
 /// edges. Every one is a length-prefixed array.
 fn put_dyn(buf: &mut Vec<u8>, labels: &Labels, data: &EdgeRows, cd: &EdgeRows) {
-    let rows_bytes = |r: &EdgeRows| 16 + 4 * r.start.len() + 8 * r.edges.len();
-    buf.reserve(24 + 8 * (labels.start.len() + 2 * labels.tu.len()) + rows_bytes(data) + rows_bytes(cd));
     for column in [&labels.start, &labels.tu, &labels.td] {
         put_len(buf, column.len());
         column.iter().for_each(|&v| put_u64(buf, v));
@@ -505,12 +503,17 @@ fn encode_stats(buf: &mut Vec<u8>, s: &BuildStats) {
     put_u64(buf, s.total_control);
 }
 
-fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.reserve_exact(17 + payload.len());
+/// Appends section `tag` to `out`, its payload written in place by
+/// `payload`, so no payload is ever held twice.
+fn push_section(out: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
     put_u8(out, tag);
-    put_len(out, payload.len());
-    out.extend_from_slice(payload);
-    put_u64(out, checksum(payload));
+    let start = out.len() + 8;
+    put_u64(out, 0);
+    payload(out);
+    let len = (out.len() - start) as u64;
+    out[start - 8..start].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(&out[start..]);
+    put_u64(out, sum);
 }
 
 const TAG_SOURCE: u8 = 1;
@@ -529,37 +532,16 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
     put_u32(&mut out, FORMAT_VERSION);
     put_u64(&mut out, digest(&snap.source, &snap.input, &snap.config));
 
-    let mut payload = Vec::new();
-    payload.extend_from_slice(snap.source.as_bytes());
-    push_section(&mut out, TAG_SOURCE, &payload);
-
-    payload.clear();
-    put_len(&mut payload, snap.input.len());
-    for v in &snap.input {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    push_section(&mut out, TAG_INPUT, &payload);
-
-    payload.clear();
-    encode_config(&mut payload, &snap.config);
-    push_section(&mut out, TAG_CONFIG, &payload);
-
-    payload.clear();
-    encode_nodes(&mut payload, &snap.graph.nodes);
-    push_section(&mut out, TAG_NODES, &payload);
-
-    payload.clear();
-    encode_dyn(&mut payload, &snap.graph);
-    push_section(&mut out, TAG_DYN, &payload);
-
-    payload.clear();
-    encode_criteria(&mut payload, &snap.graph);
-    push_section(&mut out, TAG_CRITERIA, &payload);
-
-    payload.clear();
-    encode_stats(&mut payload, &snap.graph.stats);
-    push_section(&mut out, TAG_STATS, &payload);
-
+    push_section(&mut out, TAG_SOURCE, |b| b.extend_from_slice(snap.source.as_bytes()));
+    push_section(&mut out, TAG_INPUT, |b| {
+        put_len(b, snap.input.len());
+        snap.input.iter().for_each(|v| b.extend_from_slice(&v.to_le_bytes()));
+    });
+    push_section(&mut out, TAG_CONFIG, |b| encode_config(b, &snap.config));
+    push_section(&mut out, TAG_NODES, |b| encode_nodes(b, &snap.graph.nodes));
+    push_section(&mut out, TAG_DYN, |b| encode_dyn(b, &snap.graph));
+    push_section(&mut out, TAG_CRITERIA, |b| encode_criteria(b, &snap.graph));
+    push_section(&mut out, TAG_STATS, |b| encode_stats(b, &snap.graph.stats));
     out
 }
 
@@ -1241,15 +1223,6 @@ mod tests {
         assert_eq!(encode(&back), bytes);
     }
 
-    /// `snap` encoded with its DYN section written from `labels`, `data`
-    /// and `cd`, re-checksummed, so only the decoder's own checks can
-    /// object.
-    fn with_dyn(snap: &Snapshot, labels: &Labels, data: &EdgeRows, cd: &EdgeRows) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_dyn(&mut payload, labels, data, cd);
-        with_section(&encode(snap), TAG_DYN, &payload)
-    }
-
     /// Copies of a graph's label columns and edge rows, to corrupt.
     struct DynParts {
         start: Vec<u64>,
@@ -1271,12 +1244,15 @@ mod tests {
             }
         }
 
-        /// `snap` with its DYN section written from these parts.
+        /// `snap` encoded with its DYN section written from these parts
+        /// and re-checksummed, so only the decoder's own checks can object.
         fn encode(self, snap: &Snapshot) -> Vec<u8> {
             let labels = Labels { start: self.start, tu: self.tu, td: self.td };
             let data = EdgeRows { start: self.data.0, edges: self.data.1 };
             let cd = EdgeRows { start: self.cd.0, edges: self.cd.1 };
-            with_dyn(snap, &labels, &data, &cd)
+            let mut payload = Vec::new();
+            put_dyn(&mut payload, &labels, &data, &cd);
+            with_section(&encode(snap), TAG_DYN, &payload)
         }
     }
 
@@ -1288,7 +1264,7 @@ mod tests {
             let end = pos + 9 + len + 8;
             if bytes[pos] == tag {
                 let mut out = bytes[..pos].to_vec();
-                push_section(&mut out, tag, payload);
+                push_section(&mut out, tag, |b| b.extend_from_slice(payload));
                 out.extend_from_slice(&bytes[end..]);
                 return out;
             }
