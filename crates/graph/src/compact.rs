@@ -159,9 +159,18 @@ pub(crate) fn unpack(td: u64) -> (usize, u64) {
     ((td >> 48) as usize, td & (TS_LIMIT - 1))
 }
 
+/// The first index of a run's pairs that does not follow its predecessor,
+/// if any. Use timestamps ascend, and repeat only as the same stored pair:
+/// a shared channel logs a pair again when a call splits the uses that
+/// share it ([`DynStore::append`] drops only a pair that directly repeats),
+/// and both copies are one label, so a binary search may hit either.
+pub(crate) fn misordered(tu: &[u64], td: &[u64]) -> Option<usize> {
+    (1..tu.len()).find(|&i| tu[i - 1] > tu[i] || (tu[i - 1] == tu[i] && td[i - 1] != td[i]))
+}
+
 /// Every run's timestamp pairs in one arena, as two parallel columns: run
-/// `r` is `start[r]..start[r + 1]` of `tu` (use timestamps, strictly
-/// ascending within the run) and `td` (the paired definition timestamps,
+/// `r` is `start[r]..start[r + 1]` of `tu` (use timestamps, ascending
+/// within the run, see [`misordered`]) and `td` (the paired definition timestamps,
 /// each with its owner index in the top 16 bits, see [`unpack`]). A search
 /// is one binary search over contiguous use timestamps, and the whole
 /// arena is three allocations. The snapshot reader checks what it reads.
@@ -185,7 +194,8 @@ impl Labels {
     ///
     /// # Panics
     /// Panics if a definition timestamp does not fit 48 bits, or if a run
-    /// holds a use timestamp twice: two edges of one row would then hold it.
+    /// holds a use timestamp in two different pairs: two edges of one row
+    /// would then hold it.
     fn from_log(mut tu: Vec<u64>, mut td: Vec<u64>, mut chan: Vec<u32>, plan: &RunPlan) -> Self {
         let (place, num_runs) = (&plan.place, plan.num_runs as usize);
         let mut start = vec![0u64; num_runs + 1];
@@ -217,21 +227,21 @@ impl Labels {
             }
         }
         drop(chan);
-        let ascends = |tu: &[u64]| tu.windows(2).all(|w| w[0] < w[1]);
         let mut pairs = Vec::new();
         for w in start.windows(2) {
             let r = w[0] as usize..w[1] as usize;
-            if ascends(&tu[r.clone()]) {
+            if misordered(&tu[r.clone()], &td[r.clone()]).is_none() {
                 continue;
             }
             pairs.clear();
             pairs.extend(tu[r.clone()].iter().copied().zip(td[r.clone()].iter().copied()));
-            pairs.sort_unstable_by_key(|&(u, _)| u);
+            pairs.sort_unstable();
             for (k, &(u, d)) in r.clone().zip(&pairs) {
                 tu[k] = u;
                 td[k] = d;
             }
-            assert!(ascends(&tu[r]), "two edges of one row hold the same use timestamp");
+            let ordered = misordered(&tu[r.clone()], &td[r]).is_none();
+            assert!(ordered, "two edges of one row hold the same use timestamp");
         }
         tu.shrink_to_fit();
         td.shrink_to_fit();
@@ -1055,7 +1065,8 @@ impl CompactGraph {
     /// Use timestamps held more than once among the runs of one dynamic
     /// edge row, counted once per extra holder. A row takes the first of
     /// its runs that holds a timestamp, so their order changes no answer
-    /// only while this is zero. The columns must be resident.
+    /// only while this is zero. A run that repeats a pair ([`misordered`])
+    /// holds its timestamp once. The columns must be resident.
     pub fn shared_row_timestamps(&self) -> u64 {
         let mut tus = Vec::new();
         let mut shared = 0;
@@ -1064,20 +1075,13 @@ impl CompactGraph {
             tus.clear();
             for (i, &(_, run)) in row.iter().enumerate() {
                 if i == 0 || row[i - 1].1 != run {
-                    tus.extend_from_slice(self.labels.run(run).0);
+                    tus.extend(self.labels.run(run).0.chunk_by(|a, b| a == b).map(|c| c[0]));
                 }
             }
             tus.sort_unstable();
             shared += tus.windows(2).filter(|w| w[0] == w[1]).count() as u64;
         }
         shared
-    }
-
-    /// Label runs whose use timestamps do not strictly ascend: a built or
-    /// restored graph has none. The columns must be resident.
-    pub fn unsorted_runs(&self) -> usize {
-        let ascends = |tu: &[u64]| tu.windows(2).all(|w| w[0] < w[1]);
-        (0..self.labels.num_runs() as u32).filter(|&r| !ascends(self.labels.run(r).0)).count()
     }
 
     /// The final defining instance of `cell`, if any (slice criterion).
@@ -1935,6 +1939,63 @@ mod tests {
                     assert_eq!(fp, opt.slice(occ, ts, shortcuts), "output {i} {shortcuts} {config:?}");
                 }
             }
+        }
+    }
+
+    /// A shared run can hold one pair twice, apart. `a` and `b` are
+    /// defined in one block, so their uses in `f`'s body share a label
+    /// channel (OPT-3), and the call to `h` splits those uses: the outer
+    /// frame logs its `a` pair, the inner frame its own, and then the outer
+    /// `b` logs the outer pair again, at the same use timestamp, because a
+    /// node instance keeps its timestamp across a call. Under no
+    /// speculation the blocks are separate nodes, so the uses carry labels.
+    /// The repeated use timestamp is the same label, not two edges' labels:
+    /// the graph builds, restores from a snapshot, and slices as FP does,
+    /// resident and paged.
+    #[test]
+    fn shared_runs_may_repeat_a_pair_split_by_a_call() {
+        let src = "fn h(int n) -> int {
+               if (n > 0) { return f(n - 1); }
+               return 0;
+             }
+             fn f(int n) -> int {
+               int a;
+               int b;
+               if (n % 2 == 0) { a = n; b = n * 3; } else { a = n + 1; b = n * 5; }
+               int x = a;
+               int y = h(n);
+               print x + y + b;
+               return x + y;
+             }
+             fn main() {
+               print f(4);
+             }";
+        let p = dynslice_lang::compile(src).unwrap();
+        let a = ProgramAnalysis::compute(&p);
+        let t = run(&p, VmOptions::default());
+        let full = FullGraph::build(&p, &a, &t.events);
+        let config = OptConfig { spec: SpecPolicy::None, ..OptConfig::default() };
+        let opt = build_compact(&p, &a, &t.events, &config);
+        let repeats = |l: &Labels| {
+            (0..l.num_runs() as u32).any(|r| l.run(r).0.windows(2).any(|w| w[0] == w[1]))
+        };
+        assert!(repeats(&opt.labels), "no run repeats a pair");
+        assert_eq!(opt.shared_row_timestamps(), 0);
+        let snap = crate::snapshot::Snapshot { source: src.into(), input: Vec::new(), config, graph: opt };
+        let restored = crate::snapshot::decode(&crate::snapshot::encode(&snap)).expect("decodes");
+        assert_eq!(restored.graph.first_difference(&snap.graph), None);
+        assert_eq!(full.outputs.len(), restored.graph.outputs.len(), "outputs");
+        for (&(fs, fts), &(occ, ts)) in full.outputs.iter().zip(&restored.graph.outputs) {
+            let fp = full.slice(&p, fs, fts);
+            for shortcuts in [false, true] {
+                assert_eq!(fp, restored.graph.slice(occ, ts, shortcuts), "{fs:?} {shortcuts}");
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("dynslice-compact-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let paged = crate::PagedGraph::spill(restored.graph, dir.join("repeat.bin"), 1).unwrap();
+        for (&(fs, fts), &(occ, ts)) in full.outputs.iter().zip(&paged.graph().outputs) {
+            assert_eq!(full.slice(&p, fs, fts), paged.slice(occ, ts).unwrap(), "paged {fs:?}");
         }
     }
 

@@ -47,7 +47,7 @@
 //!
 //! ```text
 //! run offsets      u64 × (runs + 1)   run r is pairs start[r]..start[r + 1]
-//! use timestamps   u64 × pairs        strictly ascending within a run
+//! use timestamps   u64 × pairs        ascending within a run
 //! stored td        u64 × pairs        owner index << 48 | definition ts
 //! data row offsets u32 × (use slots + 1)
 //! data edges       (target u32, run u32) × edges
@@ -59,7 +59,8 @@
 //! index names one of them (see [`crate::compact`]). Decoding copies the
 //! arrays and checks what the walk relies on: offsets that ascend from 0
 //! to their array's length, one row per use slot or occurrence, runs that
-//! strictly ascend, and edges that name an occurrence and a run that
+//! ascend (a use timestamp repeats only as the same pair, which a shared
+//! run may log twice), and edges that name an occurrence and a run that
 //! exist, the run's owners all below the row's edges that share it.
 //!
 //! # Integrity
@@ -84,7 +85,7 @@ use std::path::Path;
 use dynslice_ir::{BlockId, FuncId, StmtId, VarId};
 use dynslice_runtime::Cell;
 
-use crate::compact::{unpack, CompactGraph, EdgeRows, Labels, NONE_TARGET};
+use crate::compact::{misordered, unpack, CompactGraph, EdgeRows, Labels, NONE_TARGET};
 use crate::nodes::{
     CdRes, NodeData, NodeGraph, NodeKind, OptConfig, SpecPolicy, UseRes, UseRows, UseShape,
 };
@@ -843,8 +844,8 @@ fn decode_u64_vec(r: &mut Reader<'_>) -> Result<Vec<u64>, SnapshotError> {
 }
 
 /// Decodes the DYN section, a copy of the arrays the graph holds, checking
-/// the run offsets, that each run's use timestamps strictly ascend, and
-/// the edge rows ([`decode_rows`]).
+/// the run offsets, that each run's pairs ascend ([`misordered`]), and the
+/// edge rows ([`decode_rows`]).
 fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, SnapshotError> {
     let (start, tu, td) = (decode_u64_vec(r)?, decode_u64_vec(r)?, decode_u64_vec(r)?);
     let pairs = tu.len() as u64;
@@ -856,9 +857,9 @@ fn decode_dyn(r: &mut Reader<'_>, nodes: &NodeGraph) -> Result<DynArenas, Snapsh
     let mut owners = Vec::with_capacity(start.len() - 1);
     for (run, w) in start.windows(2).enumerate() {
         let (a, b) = (w[0] as usize, w[1] as usize);
-        if let Some(p) = tu[a..b].windows(2).find(|p| p[0] >= p[1]) {
-            let (x, y) = (p[0], p[1]);
-            return Err(r.corrupt(format!("run {run}: use timestamps {x}, {y} must strictly ascend")));
+        if let Some(i) = misordered(&tu[a..b], &td[a..b]) {
+            let (x, y) = (tu[a + i - 1], tu[a + i]);
+            return Err(r.corrupt(format!("run {run}: use timestamps {x}, {y} must ascend or repeat a pair")));
         }
         owners.push(td[a..b].iter().map(|&d| unpack(d).0).max().unwrap_or(0));
     }
@@ -1336,19 +1337,26 @@ mod tests {
         assert_dyn_corrupt(&p.encode(&snap), "names run");
     }
 
-    /// A run whose use timestamps repeat or descend is corruption: a
-    /// binary search over it could miss a timestamp it holds.
+    /// A run whose use timestamps descend, or repeat in two different
+    /// pairs, is corruption: a binary search over it could miss a
+    /// timestamp it holds, or hit either of two labels. A repeated pair is
+    /// one label, and decodes.
     #[test]
-    fn runs_must_strictly_ascend() {
+    fn runs_must_ascend() {
         let snap = shared_sample();
         let start = &snap.graph.labels.start;
         let run = start.windows(2).position(|w| w[1] - w[0] >= 2).expect("a run of two pairs");
         let a = start[run] as usize;
-        for (first, second) in [(7, 7), (9, 8)] {
+        for (first, second, same_td) in [(7, 7, false), (9, 8, true)] {
             let mut p = DynParts::of(&snap.graph);
             (p.tu[a], p.tu[a + 1]) = (first, second);
-            assert_dyn_corrupt(&p.encode(&snap), "strictly ascend");
+            p.td[a + 1] = if same_td { p.td[a] } else { p.td[a] ^ 1 };
+            assert_dyn_corrupt(&p.encode(&snap), "must ascend");
         }
+        let mut p = DynParts::of(&snap.graph);
+        (p.tu[a], p.td[a]) = (p.tu[a + 1], p.td[a + 1]);
+        let restored = decode(&p.encode(&snap)).expect("a repeated pair decodes");
+        assert_eq!(restored.graph.labels.tu[a], restored.graph.labels.tu[a + 1]);
     }
 
     /// A stored owner index must name one of the adjacent edges of a row

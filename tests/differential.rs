@@ -69,10 +69,9 @@ fn check_seed(seed: u64, alias_pct: u64, recursion: bool) {
     let opts: Vec<_> = configs.iter().map(|c| session.opt(&trace, c)).collect();
     // A row's own labels are one run and a resolution reads its owner off
     // the hit, which answers as the edges do only while no two edges of a
-    // row hold one use timestamp and every run strictly ascends.
+    // row hold one use timestamp. (The build refuses a run out of order.)
     for (i, o) in opts.iter().enumerate() {
         assert_eq!(o.graph().shared_row_timestamps(), 0, "seed {seed} cfg {i}\n{src}");
-        assert_eq!(o.graph().unsorted_runs(), 0, "seed {seed} cfg {i}\n{src}");
     }
     let dir = diff_dir();
     let lp = session.lp(&trace, dir.join(format!("d{seed}-{alias_pct}-{recursion}.bin"))).unwrap();
