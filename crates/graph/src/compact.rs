@@ -1954,6 +1954,7 @@ mod tests {
     /// resident and paged.
     #[test]
     fn shared_runs_may_repeat_a_pair_split_by_a_call() {
+        use crate::snapshot::{decode, encode, Snapshot};
         let src = "fn h(int n) -> int {
                if (n > 0) { return f(n - 1); }
                return 0;
@@ -1981,8 +1982,8 @@ mod tests {
         };
         assert!(repeats(&opt.labels), "no run repeats a pair");
         assert_eq!(opt.shared_row_timestamps(), 0);
-        let snap = crate::snapshot::Snapshot { source: src.into(), input: Vec::new(), config, graph: opt };
-        let restored = crate::snapshot::decode(&crate::snapshot::encode(&snap)).expect("decodes");
+        let snap = Snapshot { source: src.into(), input: Vec::new(), config, graph: opt };
+        let restored = decode(&encode(&snap)).expect("decodes");
         assert_eq!(restored.graph.first_difference(&snap.graph), None);
         assert_eq!(full.outputs.len(), restored.graph.outputs.len(), "outputs");
         for (&(fs, fts), &(occ, ts)) in full.outputs.iter().zip(&restored.graph.outputs) {
