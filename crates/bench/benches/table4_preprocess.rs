@@ -3,11 +3,14 @@
 //!
 //! The layers are the three stages of `build_compact`: Ball–Larus numbering,
 //! the profiling pass and the specialization plan ("paths"); the static
-//! node graph ("nodes"); and `CompactGraph::build`, which segments the trace
-//! into node executions and replays it ("compact"). Each column is its own
+//! node graph and the build plan beside it ("nodes"); and
+//! `CompactGraph::build`, which segments the trace into node executions and
+//! replays it, consuming the build plan ("compact"). Each column is its own
 //! median, so the stages need not add up to the total exactly.
 
-use dynslice::{profile_trace, CompactGraph, NodeGraph, OptConfig, ProgramPaths, SpecPlan};
+use dynslice::{
+    profile_trace, BuildPlan, CompactGraph, NodeGraph, OptConfig, ProgramPaths, SpecPlan,
+};
 use dynslice_bench::*;
 
 fn main() {
@@ -28,15 +31,17 @@ fn main() {
         };
         let paths_t = median_time(PREPROCESS_RUNS, || plan_for(&ProgramPaths::compute(program)));
         let paths = ProgramPaths::compute(program);
-        let plan = plan_for(&paths);
-        let build_nodes = || NodeGraph::build(program, analysis, &plan, &config);
+        let spec = plan_for(&paths);
+        let build_nodes = || NodeGraph::build(program, analysis, &spec, &config);
         let nodes_t = median_time(PREPROCESS_RUNS, build_nodes);
-        // Each build consumes a node graph; clone them outside the timing.
-        let nodes = build_nodes();
-        let mut copies: Vec<NodeGraph> = (0..PREPROCESS_RUNS).map(|_| nodes.clone()).collect();
+        // Each build consumes a node graph and its build plan; clone them
+        // outside the timing.
+        let built = build_nodes();
+        let mut copies: Vec<(NodeGraph, BuildPlan)> =
+            (0..PREPROCESS_RUNS).map(|_| built.clone()).collect();
         let compact_t = median_time(PREPROCESS_RUNS, || {
-            let nodes = copies.pop().expect("one copy per run");
-            CompactGraph::build(program, analysis, &paths, nodes, events)
+            let (nodes, plan) = copies.pop().expect("one copy per run");
+            CompactGraph::build(program, analysis, &paths, nodes, plan, events)
         });
         println!(
             "{:<12} {:>11} ms {:>8} ms {:>8} ms {:>8} ms {:>12}",

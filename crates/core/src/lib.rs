@@ -36,7 +36,7 @@ pub mod sessions;
 
 pub use dynslice_analysis::{self as analysis, ProgramAnalysis};
 pub use dynslice_graph::{
-    self as graph, build_compact, profile_trace, snapshot, BuildStats,
+    self as graph, build_compact, profile_trace, snapshot, BuildPlan, BuildStats,
     CompactGraph, FullGraph, GraphSize, NodeGraph, OptConfig, OptKind, PagedGraph, PagedStats,
     Snapshot, SnapshotError, SpecPlan, SpecPolicy,
 };

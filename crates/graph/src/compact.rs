@@ -1,7 +1,8 @@
 //! The compacted dynamic dependence graph (the paper's OPT representation)
 //! — dynamic component, slicing traversal and shortcut edges.
 //!
-//! The builder replays the trace over the static [`NodeGraph`]: every
+//! The builder replays the trace over the static [`NodeGraph`], reading the
+//! build-only [`BuildPlan`] beside it and dropping that when it is done: every
 //! dependence instance whose timestamps the static component can *infer* is
 //! verified against the actual shadow-map resolution and costs nothing;
 //! instances the static component cannot infer (or whose inference fails
@@ -79,7 +80,7 @@ use dynslice_profile::ProgramPaths;
 use dynslice_runtime::{replay, Cell, FrameId, ReplayVisitor, StmtCx, TraceEvent};
 
 use crate::fast_hash::{FastMap, FastSet};
-use crate::nodes::{CdRes, NodeGraph, UseRes, UseShape};
+use crate::nodes::{BuildPlan, CdRes, NodeGraph, UseRes, UseShape};
 use crate::segment::{segment, Assign};
 use crate::size::{BuildStats, GraphSize, OptKind};
 
@@ -558,19 +559,22 @@ enum Frontier {
 
 impl CompactGraph {
     /// Builds the compacted graph from a trace over a prebuilt static
-    /// component.
+    /// component and the build plan [`NodeGraph::build`] returned with it,
+    /// which the build consumes: the graph keeps none of it.
     pub fn build(
         program: &Program,
         analysis: &ProgramAnalysis,
         paths: &ProgramPaths,
         nodes: NodeGraph,
+        plan: BuildPlan,
         events: &[TraceEvent],
     ) -> Self {
-        let assigns = segment(paths, &nodes, events);
+        let assigns = segment(paths, &plan, events);
         let mut b = Builder {
             program,
             analysis,
             nodes: &nodes,
+            plan: &plan,
             store: DynStore::new(nodes.use_res.num_slots(), nodes.num_occs(), events.len()),
             stats: BuildStats::default(),
             outputs: Vec::new(),
@@ -648,11 +652,6 @@ impl CompactGraph {
     /// Use slots across all occurrences (the data-edge rows).
     fn num_use_slots(&self) -> u64 {
         self.nodes.use_res.num_slots() as u64
-    }
-
-    /// Statements in the program (the width of a slice bitmap).
-    fn num_stmts(&self) -> usize {
-        self.nodes.stmt_shapes.len()
     }
 
     /// Dynamic data edges of use `(occ, k)` as `(target, run)` pairs; `k`
@@ -818,7 +817,7 @@ impl CompactGraph {
         ts: u64,
         stats: &mut TraversalStats,
     ) -> Result<BTreeSet<StmtId>, L::Error> {
-        let mut slice = Bits::new(self.num_stmts());
+        let mut slice = Bits::new(self.nodes.num_stmts);
         let mut visited = self.walk_memo(ts);
         let mut work = vec![(occ, ts)];
         while let Some((occ, ts)) = work.pop() {
@@ -851,7 +850,7 @@ impl CompactGraph {
     ) -> Result<BTreeSet<StmtId>, L::Error> {
         let num_occs = self.nodes.num_occs() as u64;
         let cd_ids = num_occs + self.num_use_slots();
-        let mut slice = Bits::new(self.num_stmts());
+        let mut slice = Bits::new(self.nodes.num_stmts);
         let mut expanded = Bits::new(self.nodes.num_occs());
         let mut memo = self.walk_memo(ts);
         let mut work = vec![(occ, ts)];
@@ -1089,14 +1088,18 @@ impl CompactGraph {
         self.last_def.get(&cell).copied()
     }
 
-    /// Compares every materialized component of two graphs — label runs,
-    /// dynamic edge rows, last-defs, outputs, statistics —
-    /// returning the name of the first differing component, or `None` if
-    /// the graphs are bit-identical. This is the oracle the snapshot
-    /// round-trip tests and the snapshot-load bench use; it deliberately
-    /// ignores the lazily-populated shortcut memo, which is derived state.
+    /// Compares every materialized component of two graphs — the static
+    /// component, label runs, dynamic edge rows, last-defs, outputs,
+    /// statistics — returning the name of the first differing component,
+    /// or `None` if the graphs are bit-identical. This is the oracle the
+    /// snapshot round-trip tests and the snapshot-load bench use; it
+    /// deliberately ignores the lazily-populated shortcut memo, which is
+    /// derived state.
     #[must_use]
     pub fn first_difference(&self, other: &Self) -> Option<&'static str> {
+        if self.nodes != other.nodes {
+            return Some("nodes");
+        }
         if self.labels != other.labels {
             return Some("labels");
         }
@@ -1194,30 +1197,32 @@ impl DynStore {
 
     /// Channel for a dynamic data edge out of use slot `slot` (use `k` of
     /// `occ`), honoring the sharing plan.
-    fn data_chan(&mut self, nodes: &NodeGraph, slot: usize, occ: u32, k: u8, target: u32) -> u32 {
+    fn data_chan(&mut self, cx: BuildCx<'_>, slot: usize, occ: u32, k: u8, target: u32) -> u32 {
         if let Some(&(_, chan)) = self.data_dyn.row(slot).iter().find(|(t, _)| *t == target) {
             return chan;
         }
+        let (nodes, plan) = cx;
         let group = (target != NONE_TARGET).then(|| {
             let key = (nodes.occ_stmt[occ as usize], k, nodes.occ_stmt[target as usize]);
-            nodes.share_data.get(&key).copied()
+            plan.share_data.get(&key).copied()
         });
-        let chan = self.group_channel(nodes, group.flatten(), target, occ);
+        let chan = self.group_channel(plan, group.flatten(), target, occ);
         self.data_dyn.push(slot, (target, chan));
         chan
     }
 
     /// Channel for a dynamic control edge, honoring the OPT-6 plan.
-    fn cd_chan(&mut self, nodes: &NodeGraph, key_occ: u32, target: u32) -> u32 {
+    fn cd_chan(&mut self, cx: BuildCx<'_>, key_occ: u32, target: u32) -> u32 {
         let edges = self.cd_dyn.row(key_occ as usize);
         if let Some(&(_, chan)) = edges.iter().find(|(t, _)| *t == target) {
             return chan;
         }
+        let (nodes, plan) = cx;
         let group = (target != NONE_TARGET).then(|| {
-            let key = (nodes.occ_block_term[key_occ as usize], nodes.occ_stmt[target as usize]);
-            nodes.share_cd.get(&key).copied()
+            let key = (plan.occ_block_term[key_occ as usize], nodes.occ_stmt[target as usize]);
+            plan.share_cd.get(&key).copied()
         });
-        let chan = self.group_channel(nodes, group.flatten(), target, key_occ);
+        let chan = self.group_channel(plan, group.flatten(), target, key_occ);
         self.cd_dyn.push(key_occ as usize, (target, chan));
         chan
     }
@@ -1225,9 +1230,9 @@ impl DynStore {
     /// The channel of sharing group `group` between the nodes of `target`
     /// and `user`, made on first use, or a new channel of its own for an
     /// edge in no group.
-    fn group_channel(&mut self, nodes: &NodeGraph, group: Option<u32>, target: u32, user: u32) -> u32 {
+    fn group_channel(&mut self, plan: &BuildPlan, group: Option<u32>, target: u32, user: u32) -> u32 {
         let Some(group) = group else { return self.new_channel() };
-        let pair = (group, nodes.occ_node[target as usize], nodes.occ_node[user as usize]);
+        let pair = (group, plan.occ_node[target as usize], plan.occ_node[user as usize]);
         if let Some(&c) = self.group_chan.get(&pair) {
             return c;
         }
@@ -1254,7 +1259,7 @@ impl DynStore {
     #[allow(clippy::too_many_arguments)] // mirrors the use-event tuple end to end
     fn record_data_pair(
         &mut self,
-        nodes: &NodeGraph,
+        cx: BuildCx<'_>,
         stats: &mut BuildStats,
         slot: usize,
         occ: u32,
@@ -1263,7 +1268,7 @@ impl DynStore {
         td: u64,
         tu: u64,
     ) {
-        let chan = self.data_chan(nodes, slot, occ, k, target);
+        let chan = self.data_chan(cx, slot, occ, k, target);
         if self.append(chan, (td, tu)) {
             stats.stored_data_pairs += 1;
         } else {
@@ -1273,14 +1278,14 @@ impl DynStore {
 
     fn record_cd_pair(
         &mut self,
-        nodes: &NodeGraph,
+        cx: BuildCx<'_>,
         stats: &mut BuildStats,
         key_occ: u32,
         target: u32,
         tp: u64,
         tc: u64,
     ) {
-        let chan = self.cd_chan(nodes, key_occ, target);
+        let chan = self.cd_chan(cx, key_occ, target);
         if self.append(chan, (tp, tc)) {
             stats.stored_control_pairs += 1;
         } else {
@@ -1289,10 +1294,14 @@ impl DynStore {
     }
 }
 
+/// The static component being built over and the build plan beside it.
+type BuildCx<'p> = (&'p NodeGraph, &'p BuildPlan);
+
 struct Builder<'p> {
     program: &'p Program,
     analysis: &'p ProgramAnalysis,
     nodes: &'p NodeGraph,
+    plan: &'p BuildPlan,
     store: DynStore,
     stats: BuildStats,
     outputs: Vec<(u32, u64)>,
@@ -1495,11 +1504,13 @@ fn top(frames: &mut [FrameInfo], frame: FrameId) -> &mut FrameInfo {
 impl Builder<'_> {
     fn record_data_pair(&mut self, occ: u32, k: u8, target: u32, td: u64, tu: u64) {
         let slot = self.nodes.use_res.slot(occ, k) as usize;
-        self.store.record_data_pair(self.nodes, &mut self.stats, slot, occ, k, target, td, tu);
+        let cx = (self.nodes, self.plan);
+        self.store.record_data_pair(cx, &mut self.stats, slot, occ, k, target, td, tu);
     }
 
     fn record_cd_pair(&mut self, key_occ: u32, target: u32, tp: u64, tc: u64) {
-        self.store.record_cd_pair(self.nodes, &mut self.stats, key_occ, target, tp, tc);
+        let cx = (self.nodes, self.plan);
+        self.store.record_cd_pair(cx, &mut self.stats, key_occ, target, tp, tc);
     }
 
     /// Processes one use site of the innermost activation: verify the
@@ -1580,7 +1591,7 @@ impl ReplayVisitor for Builder<'_> {
         let assign = self.assigns[self.assign_pos];
         self.assign_pos += 1;
         let node_base = self.nodes.node_base[assign.node as usize];
-        let slot_off = self.nodes.nodes[assign.node as usize].slot_offsets[assign.slot as usize];
+        let slot_off = self.plan.slot_offsets[assign.node as usize][assign.slot as usize];
         let ancestors = self.analysis.func(func).cd.ancestors(block);
         let fi = top(&mut self.frames, frame);
         if assign.start {
@@ -1637,8 +1648,8 @@ impl ReplayVisitor for Builder<'_> {
         let occ = base + idx_in_block;
         debug_assert_eq!(self.nodes.occ_stmt[occ as usize], cx.stmt, "occurrence out of sync");
 
-        let nodes = self.nodes;
-        for (k, shape) in nodes.stmt_shapes[cx.stmt.index()].iter().enumerate() {
+        let plan = self.plan;
+        for (k, shape) in plan.stmt_shapes[cx.stmt.index()].iter().enumerate() {
             self.handle_use(occ, k as u8, shape, cx.cell, ts);
         }
 
@@ -1681,7 +1692,7 @@ impl ReplayVisitor for Builder<'_> {
             fi.vars[dst.index()] = Some((occ, ts));
         }
         // The Ret use site is the last use slot of the call statement.
-        let k = (self.nodes.stmt_shapes[stmt.index()].len() - 1) as u8;
+        let k = (self.plan.stmt_shapes[stmt.index()].len() - 1) as u8;
         if let Some((rocc, tr)) = self.last_ret.take() {
             self.stats.total_data += 1;
             self.record_data_pair(occ, k, rocc, tr, ts);

@@ -6,9 +6,10 @@
 //! * [`FullGraph`] — the paper's FP baseline: every exercised dependence
 //!   instance stored as an explicit timestamp pair on an edge.
 //! * [`CompactGraph`] — the paper's OPT representation: a static component
-//!   ([`NodeGraph`], with specialized path nodes, static unlabeled edges and
-//!   a label-sharing plan) plus dynamic labels only for the instances whose
-//!   timestamps cannot be inferred.
+//!   ([`NodeGraph`], with specialized path nodes and static unlabeled edges)
+//!   plus dynamic labels only for the instances whose timestamps cannot be
+//!   inferred. The label-sharing plan and the node lookup tables that the
+//!   build reads ([`BuildPlan`]) are dropped once the graph is built.
 //!
 //! The central property, exercised heavily by the test suite: **slices
 //! computed from the two graphs are identical** — compaction is lossless.
@@ -27,7 +28,9 @@ pub use compact::{CompactGraph, DynEdge, EdgeRow, TraversalStats};
 pub use dot::{compact_to_dot, slice_to_dot};
 pub use paged::{PagedGraph, PagedStats};
 pub use full::FullGraph;
-pub use nodes::{CdRes, NodeGraph, NodeKind, OptConfig, SpecPlan, SpecPolicy, UseRes, UseRows};
+pub use nodes::{
+    BuildPlan, CdRes, NodeGraph, NodeKind, OptConfig, SpecPlan, SpecPolicy, UseRes, UseRows,
+};
 pub use segment::{segment, Assign};
 pub use size::{BuildStats, GraphSize, OptKind};
 pub use snapshot::{Snapshot, SnapshotError};
@@ -113,9 +116,9 @@ pub fn build_compact(
 ) -> CompactGraph {
     let paths = ProgramPaths::compute(program);
     let profile = profile_trace(&paths, events);
-    let plan = SpecPlan::new(program, &paths, Some(&profile), &config.spec);
-    let nodes = NodeGraph::build(program, analysis, &plan, config);
-    CompactGraph::build(program, analysis, &paths, nodes, events)
+    let spec = SpecPlan::new(program, &paths, Some(&profile), &config.spec);
+    let (nodes, plan) = NodeGraph::build(program, analysis, &spec, config);
+    CompactGraph::build(program, analysis, &paths, nodes, plan, events)
 }
 
 #[cfg(test)]

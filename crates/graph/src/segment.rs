@@ -12,7 +12,7 @@ use dynslice_ir::{BlockId, FuncId};
 use dynslice_profile::{PathTracker, ProgramPaths};
 use dynslice_runtime::{FrameId, TraceEvent};
 
-use crate::nodes::NodeGraph;
+use crate::nodes::BuildPlan;
 
 /// Node assignment of one traced block execution.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -37,8 +37,8 @@ struct FrameSeg {
 }
 
 /// Computes the node assignment for every `Block` event in `events`, in
-/// event order.
-pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -> Vec<Assign> {
+/// event order, from the node lookup tables of the build's `plan`.
+pub fn segment(paths: &ProgramPaths, plan: &BuildPlan, events: &[TraceEvent]) -> Vec<Assign> {
     let num_blocks = events
         .iter()
         .filter(|e| matches!(e, TraceEvent::Block { .. }))
@@ -51,16 +51,16 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
     let mut spare: Vec<Vec<(u32, BlockId)>> = Vec::new();
     let mut ordinal = 0u32;
 
-    let flush = |graph: &NodeGraph,
+    let flush = |plan: &BuildPlan,
                      func: FuncId,
                      path_id: Option<u64>,
                      buffered: &[(u32, BlockId)],
                      assigns: &mut Vec<Assign>| {
-        let path_node = path_id.and_then(|id| graph.path_node.get(&(func.0, id)).copied());
+        let path_node = path_id.and_then(|id| plan.path_node.get(&(func.0, id)).copied());
         match path_node {
             Some(node) => {
                 debug_assert_eq!(
-                    graph.nodes[node as usize].blocks.len(),
+                    plan.slot_offsets[node as usize].len(),
                     buffered.len(),
                     "specialized path length disagrees with the trace segment"
                 );
@@ -71,7 +71,7 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
             }
             None => {
                 for &(ord, block) in buffered {
-                    let node = graph.block_node[func.index()][block.index()];
+                    let node = plan.block_node[func.index()][block.index()];
                     assigns[ord as usize] = Assign { node, slot: 0, start: true };
                 }
             }
@@ -102,7 +102,7 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
                     }
                     (Some(tracker), Some(prev)) => {
                         if let Some(done) = bl.step(tracker, prev, block) {
-                            flush(graph, seg.func, Some(done.id), &seg.buffered, &mut assigns);
+                            flush(plan, seg.func, Some(done.id), &seg.buffered, &mut assigns);
                             seg.buffered.clear();
                         }
                         seg.buffered.push((ord, block));
@@ -117,7 +117,7 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
                 if let (Some(tracker), Some(prev)) = (seg.tracker, seg.prev) {
                     let bl = paths.func(seg.func);
                     let done = bl.finish(tracker, prev);
-                    flush(graph, seg.func, Some(done.id), &seg.buffered, &mut assigns);
+                    flush(plan, seg.func, Some(done.id), &seg.buffered, &mut assigns);
                 }
                 seg.buffered.clear();
                 spare.push(seg.buffered);
@@ -128,7 +128,7 @@ pub fn segment(paths: &ProgramPaths, graph: &NodeGraph, events: &[TraceEvent]) -
     // Truncated traces: frames that never exited flush their incomplete
     // paths as individual block nodes.
     for seg in frames {
-        flush(graph, seg.func, None, &seg.buffered, &mut assigns);
+        flush(plan, seg.func, None, &seg.buffered, &mut assigns);
     }
     assigns
 }
@@ -148,8 +148,8 @@ mod tests {
         let profile = crate::profile_trace(&paths, &t.events);
         let plan = SpecPlan::new(&p, &paths, Some(&profile), &policy);
         let cfg = OptConfig { spec: policy, ..OptConfig::default() };
-        let ng = NodeGraph::build(&p, &a, &plan, &cfg);
-        let assigns = segment(&paths, &ng, &t.events);
+        let (ng, build) = NodeGraph::build(&p, &a, &plan, &cfg);
+        let assigns = segment(&paths, &build, &t.events);
         (assigns, ng, t.events)
     }
 
